@@ -31,15 +31,6 @@ EXIT_PARTIAL = 3
 
 ENV_OUTDIR = "TROTTERWALK_OUTDIR"
 
-EXPERIMENTS = (
-    "overlap-trace",
-    "depth-search",
-    "analytic-depth",
-    "ratio-sweep",
-    "grover-curve",
-    "bound-check",
-)
-
 N_MIN, N_MAX = 1, 80
 
 
@@ -57,8 +48,6 @@ class ExperimentConfig:
     r_exponents: list[int] = field(default_factory=lambda: list(range(2, 15)))
     out: str = ""
     workers: int = 0
-    target: str | None = None
-    reduced_target: str | None = None
 
 
 def parse_int_range(text: str) -> list[int]:
@@ -115,7 +104,7 @@ def write_sidecar(out: str, payload: dict) -> None:
 def validate(config: ExperimentConfig) -> list[str]:
     """Normalize the config in place and return every violation found."""
     errors: list[str] = []
-    if config.experiment not in EXPERIMENTS:
+    if config.experiment not in RUNNERS:
         errors.append(f"unknown experiment {config.experiment!r}")
     if not config.ns:
         errors.append("no system size given (use --n or --n-range)")
@@ -147,25 +136,20 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.k_max is not None and config.k_max < 1:
         errors.append(f"--k-max must be >= 1, got {config.k_max}")
     if config.workers < 0:
-        errors.append(f"--workers must be >= 1, got {config.workers}")
+        errors.append(f"--workers must be >= 0 (0 = one per CPU), got {config.workers}")
     if config.workers == 0:
         config.workers = os.cpu_count() or 1
     if config.experiment in ("overlap-trace", "grover-curve") and len(config.ns) != 1:
         errors.append(f"{config.experiment} needs exactly one system size")
-    if config.target is not None:
-        if set(config.target) - {"0", "1"}:
-            errors.append(f"target must be a bit string, got {config.target!r}")
-        elif len(config.ns) != 1:
-            errors.append("--target requires a single --n")
-        elif len(config.target) != config.ns[0]:
-            errors.append(f"target length {len(config.target)} != n={config.ns[0]}")
-        else:
-            # searches are target independent: relabel bit flips away
-            config.reduced_target = "0" * len(config.target)
     if not config.out:
         outdir = os.environ.get(ENV_OUTDIR, ".")
         config.out = os.path.join(outdir, f"{config.experiment}.csv")
     return errors
+
+
+def _grid(config: ExperimentConfig) -> list[tuple[int, float]]:
+    """The (n, epsilon) cells of a config, sorted and without repeats."""
+    return [(n, eps) for n in sorted(set(config.ns)) for eps in sorted(set(config.epsilons))]
 
 
 def _resolve_order(config: ExperimentConfig, n: int, eps: float) -> int:
@@ -209,11 +193,7 @@ def _depth_search_cell(args):
 
 
 def run_depth_search(config: ExperimentConfig):
-    cells = [
-        (n, eps, _resolve_order(config, n, eps), config.iterations)
-        for n in sorted(set(config.ns))
-        for eps in sorted(set(config.epsilons))
-    ]
+    cells = [(n, eps, _resolve_order(config, n, eps), config.iterations) for n, eps in _grid(config)]
     results = _map_cells(_depth_search_cell, cells, config.workers)
     rows, errors = [], []
     for res in results:
@@ -229,26 +209,25 @@ def run_depth_search(config: ExperimentConfig):
 
 def run_analytic_depth(config: ExperimentConfig):
     rows = []
-    for n in sorted(set(config.ns)):
-        for eps in sorted(set(config.epsilons)):
-            est = bounds.optimal_order(n, eps)
-            q_used = _resolve_order(config, n, eps)
-            depth = bounds.analytic_depth(n, q_used, eps)
-            rows.append(
-                (
-                    n,
-                    eps,
-                    est.q_real,
-                    est.q_even,
-                    q_used,
-                    depth.p0,
-                    depth.delta_bound,
-                    depth.p_analytic,
-                    depth.log2_p,
-                    bounds.analytic_depth_closed(n, eps),
-                    bounds.required_steps(n, q_used, eps),
-                )
+    for n, eps in _grid(config):
+        est = bounds.optimal_order(n, eps)
+        q_used = _resolve_order(config, n, eps)
+        depth = bounds.analytic_depth(n, q_used, eps)
+        rows.append(
+            (
+                n,
+                eps,
+                est.q_real,
+                est.q_even,
+                q_used,
+                depth.p0,
+                depth.delta_bound,
+                depth.p_analytic,
+                depth.log2_p,
+                bounds.analytic_depth_closed(n, eps),
+                bounds.required_steps(n, q_used, eps),
             )
+        )
     header = ["n", "epsilon", "q_real", "q_even", "q_used", "p0", "delta_bound", "p_analytic", "log2_p", "p_closed_form", "r_required"]
     return header, rows, {"epsilon_role": "spectral"}, []
 
@@ -260,11 +239,7 @@ def _ratio_sweep_cell(args):
 
 
 def run_ratio_sweep(config: ExperimentConfig):
-    cells = [
-        (n, eps, tuple(config.orders), config.iterations)
-        for n in sorted(set(config.ns))
-        for eps in sorted(set(config.epsilons))
-    ]
+    cells = [(n, eps, tuple(config.orders), config.iterations) for n, eps in _grid(config)]
     results = _map_cells(_ratio_sweep_cell, cells, config.workers)
     rows, errors = [], []
     for n, eps, record, failures in results:
@@ -381,26 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k-max", type=int, default=None, help="Grover iteration count")
         p.add_argument("--out", default=None, help=f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)")
         p.add_argument("--config", default=None, help="JSON config file; explicit flags override it")
-        p.add_argument("--workers", type=int, default=None, help="worker processes (default: cpu count)")
-        p.add_argument("--target", default=None, help="target bit string (relabeled to all zeros)")
+        p.add_argument("--workers", type=int, default=None, help="worker processes (default or 0: one per CPU)")
     return parser
-
-
-_CONFIG_KEYS = (
-    "n",
-    "n_range",
-    "epsilon",
-    "epsilon_list",
-    "order",
-    "orders",
-    "samples",
-    "spacing",
-    "iterations",
-    "k_max",
-    "out",
-    "workers",
-    "target",
-)
 
 
 def _merge_config_file(args: argparse.Namespace) -> list[str]:
@@ -412,9 +369,11 @@ def _merge_config_file(args: argparse.Namespace) -> list[str]:
     except (OSError, json.JSONDecodeError) as err:
         return [f"cannot read config file {args.config}: {err}"]
     errors = []
+    # every flag but the subcommand and --config itself may come from the file
+    keys = set(vars(args)) - {"experiment", "config"}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in _CONFIG_KEYS:
+        if dest not in keys:
             errors.append(f"unknown config key {key!r}")
         elif getattr(args, dest) is None:
             setattr(args, dest, value)
@@ -447,7 +406,7 @@ def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[
             config.orders = [int(x) for x in str(args.orders).split(",") if x.strip()]
         except ValueError:
             errors.append(f"bad --orders: {args.orders!r}")
-    for key in ("samples", "spacing", "iterations", "k_max", "out", "workers", "target"):
+    for key in ("samples", "spacing", "iterations", "k_max", "out", "workers"):
         value = getattr(args, key)
         if value is not None:
             setattr(config, key, value)

@@ -12,7 +12,6 @@ eigenstate pair behind the two-level picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import log, pi, sqrt
 from typing import NamedTuple
 
@@ -88,30 +87,6 @@ def ctqw_state(n: int, alpha: float, t: float) -> SymVector:
 def ctqw_overlap(n: int, alpha: float, t: float) -> float:
     """Success probability |<e_0| exp(-i(alpha*H_x+H_0)t) |+>|^2."""
     return float(abs(ctqw_state(n, alpha, t).amp[0]) ** 2)
-
-
-@dataclass(frozen=True)
-class CtqwParams:
-    """Resonance parameters bundled per system size."""
-
-    n: int
-    alpha_star: float
-    xi: float
-    gap: float
-    t_star: float
-    p_weights: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def ctqw_params(n: int) -> CtqwParams:
-    return CtqwParams(
-        n=n,
-        alpha_star=alpha_star(n),
-        xi=xi(n),
-        gap=2.0 * alpha_star(n) * xi(n),
-        t_star=t_star(n),
-        p_weights=p_weights(n),
-    )
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,6 @@ class DepthSearchResult:
     reference: float
     evaluations: int
 
-    def __iter__(self):
-        # unpacks as the (p_numerical, r_final) pair
-        return iter((self.p_numerical, self.r_final))
-
 
 def _steps_at(n: int, d: int, level: int) -> int:
     return max(1, round(d * 2.0 ** (0.5 * n - level)))
@@ -90,14 +86,13 @@ def numeric_optimal_depth(
     threshold = reference_overlap(n) - epsilon_overlap
     ts = ctqw.t_star(n)
     alpha = ctqw.alpha_star(n)
-    plus = symspace.plus_state(n).amp
     cache: dict[int, float] = {}
 
     def overlap_at(r: int) -> float:
         hit = cache.get(r)
         if hit is None:
-            u = symspace.matrix_power(trotter.step_operator(n, q, ts, r, alpha), r)
-            cache[r] = hit = float(abs((u.entries @ plus)[0]) ** 2)
+            state = trotter.trotterized_state(n, q, ts, r, alpha)
+            cache[r] = hit = float(abs(state.amp[0]) ** 2)
         return hit
 
     d, level = 1, 0

@@ -11,7 +11,9 @@ full 2^n-dimensional space is included for cross-checking at small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma, log, sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -70,9 +72,6 @@ class SymOperator:
             )
         object.__setattr__(self, "entries", entries)
 
-    def dagger(self) -> "SymOperator":
-        return SymOperator(self.n, self.entries.conj().T)
-
     def unitarity_defect(self) -> float:
         """Max-norm of U^dag U - I; zero for an exactly unitary operator."""
         u = self.entries
@@ -127,24 +126,21 @@ def basis_state(n: int, k: int) -> SymVector:
 
 
 # eigendecompositions are reused heavily (one Hamiltonian, many times t),
-# so keep a bounded cache keyed by the matrix bytes
-_EIG_CACHE: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-_EIG_CACHE_MAX = 256
+# so keep a bounded cache keyed by the matrix bytes; the arrays handed out
+# are read-only, so no caller can alter what later calls receive
+@lru_cache(maxsize=256)
+def _cached_eigh(key: bytes, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    w, v = np.linalg.eigh(np.frombuffer(key, dtype=complex).reshape(dim, dim))
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 def hermitian_eigensystem(h: SymOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian operator, cached."""
+    """Eigenvalues and eigenvectors of a Hermitian operator, cached and read-only."""
     defect = float(np.max(np.abs(h.entries - h.entries.conj().T)))
     if defect > HERMITIAN_TOL:
         raise ValueError(f"operator is not Hermitian: max |H - H^dag| = {defect:.3e}")
-    key = h.entries.tobytes()
-    hit = _EIG_CACHE.get(key)
-    if hit is None:
-        w, v = np.linalg.eigh(h.entries)
-        if len(_EIG_CACHE) >= _EIG_CACHE_MAX:
-            _EIG_CACHE.pop(next(iter(_EIG_CACHE)))
-        _EIG_CACHE[key] = hit = (w, v)
-    return hit
+    return _cached_eigh(h.entries.tobytes(), h.n + 1)
 
 
 def evolution_operator(h: SymOperator, t: float) -> SymOperator:
@@ -168,30 +164,43 @@ def _nearest_unitary(m: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def matrix_power(u: SymOperator, r: int) -> SymOperator:
-    """u^r by binary exponentiation, O(log r) matrix products.
+def _squaring_ladder(u: SymOperator, r: int) -> tuple[bool, Iterator[np.ndarray]]:
+    """Whether u is unitary, and an iterator over u, u^2, u^4, ... up to the top bit of r.
 
-    r = 0 returns the identity.  Plain repeated squaring drifts off the
-    unitary manifold linearly in r (the squaring doubles the defect), so
-    when the input is unitary each squaring is snapped back by polar
-    projection; the result then stays unitary to roundoff for any r, at
-    the cost of one small SVD per squaring.  Non-unitary inputs take the
-    plain path.
+    Plain repeated squaring drifts off the unitary manifold linearly in r
+    (the squaring doubles the defect), so when u is unitary each square is
+    snapped back by polar projection, at the cost of one small SVD.  The
+    squares are made lazily, so a caller that needs each only once holds
+    one at a time.
     """
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError(f"step count must be a non-negative integer, got {r!r}")
     project = u.unitarity_defect() <= 1e-12
-    result = np.eye(u.n + 1, dtype=complex)
-    base = u.entries
-    e = int(r)
-    while e > 0:
-        if e & 1:
-            result = base @ result
-        e >>= 1
-        if e:
+
+    def squares():
+        base = u.entries
+        yield base
+        for _ in range(int(r).bit_length() - 1):
             base = base @ base
             if project:
                 base = _nearest_unitary(base)
+            yield base
+
+    return project, squares()
+
+
+def matrix_power(u: SymOperator, r: int) -> SymOperator:
+    """u^r by binary exponentiation, O(log r) matrix products.
+
+    r = 0 returns the identity.  For a unitary input the squarings and the
+    product are projected back onto the unitary group, so the result stays
+    unitary to roundoff for any r; non-unitary inputs take the plain path.
+    """
+    if not isinstance(r, (int, np.integer)) or r < 0:
+        raise ValueError(f"step count must be a non-negative integer, got {r!r}")
+    project, ladder = _squaring_ladder(u, r)
+    result = np.eye(u.n + 1, dtype=complex)
+    for bit, base in enumerate(ladder):
+        if (int(r) >> bit) & 1:
+            result = base @ result
     if project and r > 1:
         result = _nearest_unitary(result)
     return SymOperator(u.n, result)

@@ -106,19 +106,10 @@ def _mixer_eigensystem(n: int):
 
 
 def apply_factors(n: int, factors: Sequence[Factor], alpha: float, state: SymVector | None = None) -> SymVector:
-    """Apply an exponent-factor sequence to a state in the symmetric subspace."""
+    """Apply an exponent-factor sequence to a state (default |+>^n)."""
     if state is None:
         state = symspace.plus_state(n)
-    w, v = _mixer_eigensystem(n)
-    amp = state.amp.copy()
-    for tag, tau in factors:
-        if tag == COST:
-            amp[0] = amp[0] * np.exp(-1j * tau)
-        elif tag == MIXER:
-            amp = v @ (np.exp(-1j * alpha * tau * w) * (v.conj().T @ amp))
-        else:
-            raise ValueError(f"unknown generator tag {tag!r}")
-    return SymVector(n, amp)
+    return SymVector(n, factors_operator(n, factors, alpha).entries @ state.amp)
 
 
 def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOperator:
@@ -174,46 +165,34 @@ def overlap_trace(
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if spacing == "linear":
-        points = np.unique(np.rint(np.linspace(0, r, samples)).astype(np.int64))
+        points = np.linspace(0, r, samples)
     elif spacing == "geometric":
-        interior = np.geomspace(1, r, samples - 1)
-        points = np.unique(np.concatenate(([0], np.rint(interior)))).astype(np.int64)
+        points = np.concatenate(([0], np.geomspace(1, r, samples - 1)))
     else:
         raise ValueError(f"spacing must be 'linear' or 'geometric', got {spacing!r}")
-    step = step_operator(n, q, t, r, alpha)
-    squarings = [step.entries]
-    while 2 ** len(squarings) <= r:
-        last = squarings[-1]
-        squarings.append(symspace._nearest_unitary(last @ last))
+    points = np.rint(points).astype(np.int64)
+    points[-1] = r  # float spacing loses the endpoint once r > 2^53
+    _, squares = symspace._squaring_ladder(step_operator(n, q, t, r, alpha), r)
+    ladder = list(squares)  # every sample reuses the squarings
     plus = symspace.plus_state(n).amp
     out = []
-    for m in points.tolist():
+    for m in np.unique(points).tolist():
         psi = plus
-        e, bit = int(m), 0
-        while e > 0:
-            if e & 1:
-                psi = squarings[bit] @ psi
-            e >>= 1
-            bit += 1
+        for bit, base in enumerate(ladder):
+            if (m >> bit) & 1:
+                psi = base @ psi
         out.append((m, float(abs(psi[0]) ** 2)))
     return out
 
 
 def block_times(q: int, t: float, r: int) -> np.ndarray:
-    """Durations t_k of the p = r*stages order-2 blocks making up S_q^r(t/r)."""
-    _check_order(q)
+    """Durations t_k of the p = r*stages order-2 blocks making up S_q^r(t/r).
+
+    Each order-2 block carries exactly one cost factor, whose coefficient
+    is the block's duration.
+    """
     _check_steps(r)
-
-    def times(order: int, tau: float) -> list[float]:
-        if order == 2:
-            return [tau]
-        u = u_coefficient(order // 2)
-        side = times(order - 2, u * tau)
-        mid = times(order - 2, (1.0 - 4.0 * u) * tau)
-        return side + side + mid + side + side
-
-    per_step = times(q, t / r)
-    return np.array(per_step * r)
+    return np.array([tau for tag, tau in suzuki_coefficients(q, t / r) if tag == COST] * r)
 
 
 @dataclass(frozen=True)

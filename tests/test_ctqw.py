@@ -98,13 +98,6 @@ def test_alpha_star_maximizes_overlap(n):
     assert abs(best - a0) <= grid[1] - grid[0]
 
 
-def test_ctqw_params_invariants():
-    p = ctqw.ctqw_params(14)
-    assert p.alpha_star > 0 and p.gap > 0
-    assert p.t_star == pytest.approx((math.pi / 2) * 2**7, rel=1e-12)
-    assert abs(p.p_weights.sum() - 1.0) < 1e-12
-
-
 def test_low_eigenstates_structure():
     pair = ctqw.low_eigenstates(12)
     assert abs(pair.psi_plus.norm() - 1.0) < 1e-10

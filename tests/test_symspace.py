@@ -88,6 +88,17 @@ def test_evolve_single_qubit_closed_form():
     assert np.allclose(out.amp, [0.0, -1.0j], atol=1e-12)
 
 
+def test_hermitian_eigensystem_is_read_only():
+    w, v = symspace.hermitian_eigensystem(symspace.build_hx(4))
+    expected = w.copy()
+    with pytest.raises(ValueError):
+        w[0] = 99.0
+    with pytest.raises(ValueError):
+        v[0, 0] = 99.0
+    again, _ = symspace.hermitian_eigensystem(symspace.build_hx(4))
+    assert np.array_equal(again, expected)
+
+
 def test_evolve_errors():
     with pytest.raises(ValueError):
         symspace.evolve(symspace.build_hx(3), 1.0, symspace.plus_state(4))

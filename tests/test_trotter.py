@@ -116,6 +116,14 @@ def test_overlap_trace_geometric_spacing():
         trotter.overlap_trace(8, 2, 1.0, 4, samples=1)
 
 
+def test_overlap_trace_ends_at_r_past_float_precision():
+    # r = 2^60 + 1 has no exact double, so float spacing alone ends off r
+    r = 2**60 + 1
+    for spacing in ("linear", "geometric"):
+        trace = trotter.overlap_trace(4, 2, ctqw.t_star(4), r, samples=5, spacing=spacing)
+        assert trace[-1][0] == r
+
+
 def test_overlap_trace_follows_two_level_profile():
     n = 20
     from trotterwalk import bounds
@@ -172,6 +180,8 @@ def test_block_times_sum():
         tk = trotter.block_times(q, 4.2, r)
         assert len(tk) == r * trotter.stage_count(q)
         assert tk.sum() == pytest.approx(4.2, rel=1e-12)
+        costs = [tau for tag, tau in trotter.group_sequence(q, r, 4.2).factors if tag == COST]
+        assert tk.tolist() == costs
 
 
 def test_order_scaling_small():
