@@ -124,6 +124,10 @@ def validate(config: ExperimentConfig) -> list[str]:
                 errors.append(f"--order must be an even integer >= 2 or 'auto', got {config.order}")
         except ValueError:
             errors.append(f"--order must be an even integer >= 2 or 'auto', got {config.order!r}")
+    if not config.orders:
+        errors.append("no admissible order given (--orders is empty)")
+    if len(set(config.orders)) != len(config.orders):
+        errors.append(f"admissible orders must not repeat, got {config.orders}")
     for q in config.orders:
         if q < 2 or q % 2:
             errors.append(f"admissible orders must be even integers >= 2, got {q}")

@@ -70,7 +70,9 @@ def numeric_optimal_depth(
     epsilon_overlap: float,
     refinement_iterations: int = DEFAULT_ITERATIONS,
     d_cap: int = DEFAULT_D_CAP,
-) -> DepthSearchResult:
+    *,
+    _prune_above: int | None = None,
+) -> DepthSearchResult | None:
     """Approximate the smallest depth reaching the walk overlap within epsilon.
 
     Deterministic in all arguments.  Each refinement level scans the step
@@ -79,10 +81,16 @@ def numeric_optimal_depth(
     r * 5^(q/2-1) at the final accepted step count.  d_cap bounds the scan
     length within one level; levels after the first need at most two probes,
     so the cap effectively limits the initial coarse scan.
+
+    ``_prune_above`` is for ``sweep_cell``: the search returns None as soon
+    as every depth it could still return exceeds that value.
     """
     trotter._check_order(q)
     if not 0.0 < epsilon_overlap < 1.0:
         raise ValueError(f"overlap budget must lie in (0, 1), got {epsilon_overlap}")
+    if refinement_iterations < 1:
+        raise ValueError(f"refinement iterations must be >= 1, got {refinement_iterations}")
+    stages = trotter.stage_count(q)
     threshold = reference_overlap(n) - epsilon_overlap
     ts = ctqw.t_star(n)
     alpha = ctqw.alpha_star(n)
@@ -101,11 +109,18 @@ def numeric_optimal_depth(
         best = -1.0
         scan_limit = d + d_cap
         while d <= scan_limit:
-            ov = overlap_at(_steps_at(n, d, level))
+            r = _steps_at(n, d, level)
+            ov = overlap_at(r)
             best = max(best, ov)
             if ov >= threshold:
                 accepted_d = d
                 break
+            # Every step count still reachable exceeds r: later d at this level
+            # give larger r, each later level starts above d * 2^(n/2 - level),
+            # and a rejected r stays rejected in the cache.  The last d of a
+            # scan is never pruned, so an exhausted scan still raises.
+            if _prune_above is not None and d < scan_limit and stages * (r + 1) > _prune_above:
+                return None
             d += 1
         else:
             raise DepthSearchError(n, q, epsilon_overlap, level, d_cap, best, threshold)
@@ -116,7 +131,7 @@ def numeric_optimal_depth(
         n=n,
         q=q,
         epsilon=epsilon_overlap,
-        p_numerical=r_final * trotter.stage_count(q),
+        p_numerical=r_final * stages,
         r_final=r_final,
         d=accepted_d,
         level=level,
@@ -182,34 +197,54 @@ def sweep_cell(
 ) -> tuple[SweepRecord | None, list[CellFailure]]:
     """Depth comparison for one cell: numeric minimum over orders vs closed form.
 
+    The numeric depth is the smallest p = stages(q) * r over ``orders``; on
+    equal p the order earlier in ``orders`` wins.  The search is a
+    branch-and-bound: ``bounds.optimal_order(n, epsilon).q_even`` is searched
+    first if it is admissible, then the other orders in their given order.
+    Once a scan has rejected multiplier d at level l, that order cannot
+    return less than stages(q) * (_steps_at(n, d, l) + 1); the order is
+    dropped when this exceeds the best depth so far.  The result equals a
+    full search of every order.
+
     Orders whose search fails are skipped.  A scan failure implies that
     order needs more than (d_cap+1) * 2^(n/2 - level) steps, so failures
     that provably cannot beat the best surviving depth are dropped as
-    benign; only decisive failures are returned.  The record is None if
-    every order failed.
+    benign; only decisive failures are returned, in the order of
+    ``orders``.  A dropped order could only have failed later in its first
+    scan, where that bound exceeds the best depth too: at later levels the
+    second probe repeats the step count accepted one level up.  The record
+    is None if every order failed.
     """
-    failures: list[tuple[CellFailure, float]] = []
-    best: DepthSearchResult | None = None
-    for q in orders:
+    if not orders:
+        raise ValueError("orders must be non-empty")
+    first = bounds.optimal_order(n, epsilon).q_even
+    failures: list[tuple[int, CellFailure, float]] = []
+    best: tuple[int, int] | None = None  # (p, rank in orders) of the best depth so far
+    for rank in sorted(range(len(orders)), key=lambda i: orders[i] != first):
+        q = orders[rank]
         try:
-            res = numeric_optimal_depth(n, q, epsilon, refinement_iterations, d_cap)
+            res = numeric_optimal_depth(
+                n, q, epsilon, refinement_iterations, d_cap, _prune_above=None if best is None else best[0]
+            )
         except DepthSearchError as err:
             p_lower = trotter.stage_count(q) * _steps_at(n, d_cap + 1, err.level)
-            failures.append((CellFailure(n=n, epsilon=epsilon, q=q, message=str(err)), p_lower))
+            failures.append((rank, CellFailure(n=n, epsilon=epsilon, q=q, message=str(err)), p_lower))
             continue
-        if best is None or res.p_numerical < best.p_numerical:
-            best = res
+        if res is not None and (best is None or (res.p_numerical, rank) < best):
+            best = (res.p_numerical, rank)
+    failures.sort(key=lambda f: f[0])
     if best is None:
-        return None, [f for f, _ in failures]
-    decisive = [f for f, p_lower in failures if p_lower <= best.p_numerical]
+        return None, [f for _, f, _ in failures]
+    p_best, rank_best = best
+    decisive = [f for _, f, p_lower in failures if p_lower <= p_best]
     p_analytic = bounds.analytic_depth_closed(n, epsilon)
     record = SweepRecord(
         n=n,
-        q=best.q,
+        q=orders[rank_best],
         epsilon=epsilon,
-        p_numerical=best.p_numerical,
+        p_numerical=p_best,
         p_analytical=p_analytic,
-        ratio=p_analytic / best.p_numerical,
+        ratio=p_analytic / p_best,
     )
     return record, decisive
 

@@ -120,6 +120,12 @@ def test_usage_error_exit_code(tmp_path, capsys):
     code = cli.main(["grover-curve", "--n", "3", "--workers", "-1", "--out", str(tmp_path / "y.csv")])
     assert code == 2
     assert "--workers must be >= 0 (0 = one per CPU), got -1" in capsys.readouterr().err
+    sweep = ["ratio-sweep", "--n", "6", "--epsilon", "0.1", "--workers", "1"]
+    assert cli.main(sweep + ["--orders", "", "--out", str(tmp_path / "z.csv")]) == cli.EXIT_USAGE
+    assert "no admissible order given" in capsys.readouterr().err
+    assert not (tmp_path / "z.csv").exists()
+    assert cli.main(sweep + ["--orders", "4,4,2", "--out", str(tmp_path / "w.csv")]) == cli.EXIT_USAGE
+    assert "admissible orders must not repeat, got [4, 4, 2]" in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

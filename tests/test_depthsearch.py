@@ -70,6 +70,11 @@ def test_numeric_depth_rejects_bad_budget():
         depthsearch.numeric_optimal_depth(8, 3, 0.1)
 
 
+def test_numeric_depth_rejects_zero_iterations():
+    with pytest.raises(ValueError, match="refinement iterations must be >= 1"):
+        depthsearch.numeric_optimal_depth(8, 2, 0.1, refinement_iterations=0)
+
+
 def test_numeric_depth_failure_diagnostics():
     # a scan budget of zero cannot move past d=1, which is insufficient here
     with pytest.raises(depthsearch.DepthSearchError) as err:
@@ -130,3 +135,76 @@ def test_ratio_sweep_ordering_and_fields():
     assert all(r.ratio > 1 for r in records)
     with pytest.raises(ValueError):
         depthsearch.ratio_sweep([], [0.1])
+
+
+def exhaustive_sweep_cell(n, epsilon, orders=depthsearch.SWEEP_ORDERS, d_cap=depthsearch.DEFAULT_D_CAP):
+    """Reference for sweep_cell: every order searched in full, in the given order.
+
+    Returns the record, the decisive failures and the benign ones.
+    """
+    best, failures = None, []
+    for q in orders:
+        try:
+            res = depthsearch.numeric_optimal_depth(n, q, epsilon, d_cap=d_cap)
+        except depthsearch.DepthSearchError as err:
+            p_lower = trotter.stage_count(q) * depthsearch._steps_at(n, d_cap + 1, err.level)
+            failures.append((depthsearch.CellFailure(n, epsilon, q, str(err)), p_lower))
+            continue
+        if best is None or res.p_numerical < best.p_numerical:  # ties keep the earlier order
+            best = res
+    if best is None:
+        return None, [f for f, _ in failures], []
+    p_analytic = bounds.analytic_depth_closed(n, epsilon)
+    record = depthsearch.SweepRecord(n, best.q, epsilon, best.p_numerical, p_analytic, p_analytic / best.p_numerical)
+    decisive = [f for f, p_lower in failures if p_lower <= best.p_numerical]
+    benign = [f for f, p_lower in failures if p_lower > best.p_numerical]
+    return record, decisive, benign
+
+
+@pytest.mark.parametrize("n", range(16, 33, 2))
+def test_sweep_cell_matches_exhaustive_on_criterion_07_grid(n):
+    for eps in (0.1, 0.01):
+        record, decisive, _ = exhaustive_sweep_cell(n, eps)
+        assert depthsearch.sweep_cell(n, eps) == (record, decisive)
+
+
+@pytest.mark.parametrize(
+    "n, eps, orders, d_cap, kind",
+    [
+        (14, 0.01, depthsearch.SWEEP_ORDERS, 2, "benign"),
+        (18, 0.1, depthsearch.SWEEP_ORDERS, 2, "benign"),
+        (20, 0.001, depthsearch.SWEEP_ORDERS, 8, "benign"),
+        (14, 0.001, depthsearch.SWEEP_ORDERS, 2, "decisive"),
+        (20, 0.1, depthsearch.SWEEP_ORDERS, 2, "decisive"),
+        (14, 0.001, (8, 2, 4), 2, "decisive"),
+        (4, 0.1, depthsearch.SWEEP_ORDERS, 0, "decisive"),
+        (10, 0.001, (2,), 0, "decisive"),
+        (16, 0.01, (8, 2, 4), depthsearch.DEFAULT_D_CAP, "none"),
+        (24, 0.01, (8, 2, 4), depthsearch.DEFAULT_D_CAP, "none"),
+        (20, 0.01, (6,), depthsearch.DEFAULT_D_CAP, "none"),
+    ],
+)
+def test_sweep_cell_matches_exhaustive_with_failures_and_orders(n, eps, orders, d_cap, kind):
+    record, decisive, benign = exhaustive_sweep_cell(n, eps, orders, d_cap)
+    # each case exercises the failure handling it is labelled with
+    assert kind == ("decisive" if decisive else "benign" if benign else "none")
+    assert depthsearch.sweep_cell(n, eps, orders, d_cap=d_cap) == (record, decisive)
+
+
+def test_sweep_cell_prunes_losing_orders(monkeypatch):
+    full = sum(depthsearch.numeric_optimal_depth(24, q, 0.01).evaluations for q in depthsearch.SWEEP_ORDERS)
+    calls = []
+    original = trotter.trotterized_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trotter, "trotterized_state", counting)
+    depthsearch.sweep_cell(24, 0.01)
+    assert len(calls) < full
+
+
+def test_sweep_cell_rejects_empty_orders():
+    with pytest.raises(ValueError, match="orders must be non-empty"):
+        depthsearch.sweep_cell(10, 0.05, orders=())
