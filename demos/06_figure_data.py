@@ -37,7 +37,7 @@ print(f"""
 done; CSVs in {outdir}
 
 The full large-n sweep is deliberately not run here; reproduce it with
-(about 2 minutes with two workers; see the README):
+(under a minute with two workers; see the README):
 
   trotterwalk ratio-sweep --n-range 22..68:2 --epsilon-list 0.001,0.01,0.1 \\
       --out ratio_sweep_full.csv

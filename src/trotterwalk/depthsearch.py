@@ -78,9 +78,10 @@ def numeric_optimal_depth(
     Deterministic in all arguments.  Each refinement level scans the step
     multiplier d upward until |<e_0|S_q^r|+>|^2 >= reference - epsilon, then
     halves the resolution starting from d = 2d' - 1.  The returned depth is
-    r * 5^(q/2-1) at the final accepted step count.  d_cap bounds the scan
-    length within one level; levels after the first need at most two probes,
-    so the cap effectively limits the initial coarse scan.
+    r * 5^(q/2-1) at the final accepted step count.  d_cap >= 0 bounds the
+    scan length within one level.  Levels after the first probe at least
+    2d' - 1 and 2d', and 2d' repeats the step count accepted one level up,
+    so they always accept: the cap limits the initial coarse scan.
 
     ``_prune_above`` is for ``sweep_cell``: the search returns None as soon
     as every depth it could still return exceeds that value.
@@ -90,6 +91,8 @@ def numeric_optimal_depth(
         raise ValueError(f"overlap budget must lie in (0, 1), got {epsilon_overlap}")
     if refinement_iterations < 1:
         raise ValueError(f"refinement iterations must be >= 1, got {refinement_iterations}")
+    if d_cap < 0:
+        raise ValueError(f"scan budget d_cap must be >= 0, got {d_cap}")
     stages = trotter.stage_count(q)
     threshold = reference_overlap(n) - epsilon_overlap
     ts = ctqw.t_star(n)
@@ -107,7 +110,7 @@ def numeric_optimal_depth(
     accepted_d = None
     for _ in range(refinement_iterations):
         best = -1.0
-        scan_limit = d + d_cap
+        scan_limit = d + (d_cap if level == 0 else max(d_cap, 1))
         while d <= scan_limit:
             r = _steps_at(n, d, level)
             ov = overlap_at(r)

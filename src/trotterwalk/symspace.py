@@ -58,24 +58,43 @@ class SymVector:
 
 @dataclass(frozen=True, eq=False)
 class SymOperator:
-    """Dense complex operator on the symmetric subspace."""
+    """Dense complex operator on the symmetric subspace.
+
+    ``delta``, when given, is the exact difference ``entries - I``.  Operators
+    close to the identity (Trotter steps and their powers) carry it because
+    rounding ``I + delta`` to ``entries`` loses the digits of delta below
+    machine epsilon, which repeated squaring would amplify.  Build them with
+    ``near_identity``.
+    """
 
     n: int
     entries: np.ndarray
+    delta: np.ndarray | None = None
 
     def __post_init__(self):
         _check_n(self.n)
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.n + 1, self.n + 1):
-            raise ValueError(
-                f"operator must be (n+1)x(n+1)={self.n + 1}x{self.n + 1}, got shape {entries.shape}"
-            )
-        object.__setattr__(self, "entries", entries)
+        shape = (self.n + 1, self.n + 1)
+        for name in ("entries", "delta"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            value = np.asarray(value, dtype=complex)
+            if value.shape != shape:
+                raise ValueError(f"operator must be (n+1)x(n+1)={self.n + 1}x{self.n + 1}, got shape {value.shape}")
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def near_identity(cls, n: int, delta: np.ndarray) -> SymOperator:
+        """The operator I + delta, keeping delta exact."""
+        return cls(n, np.eye(n + 1) + delta, delta)
+
+    def minus_identity(self) -> np.ndarray:
+        """entries - I, exact when the operator carries its delta."""
+        return self.entries - np.eye(self.n + 1) if self.delta is None else self.delta
 
     def unitarity_defect(self) -> float:
         """Max-norm of U^dag U - I; zero for an exactly unitary operator."""
-        u = self.entries
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(self.n + 1))))
+        return float(np.max(np.abs(_gram_defect(self.minus_identity()))))
 
 
 def build_hx(n: int) -> SymOperator:
@@ -144,10 +163,13 @@ def hermitian_eigensystem(h: SymOperator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolution_operator(h: SymOperator, t: float) -> SymOperator:
-    """exp(-i h t) via full Hermitian eigendecomposition."""
+    """exp(-i h t) via full Hermitian eigendecomposition, with its exact delta.
+
+    The delta V diag(expm1(-i w t)) V^dag keeps its relative precision
+    however small w t is.
+    """
     w, v = hermitian_eigensystem(h)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return SymOperator(h.n, u)
+    return SymOperator.near_identity(h.n, (v * np.expm1(-1j * w * t)) @ v.conj().T)
 
 
 def evolve(h: SymOperator, t: float, v: SymVector) -> SymVector:
@@ -159,51 +181,65 @@ def evolve(h: SymOperator, t: float, v: SymVector) -> SymVector:
     return SymVector(v.n, amp)
 
 
-def _nearest_unitary(m: np.ndarray) -> np.ndarray:
-    w, _, vh = np.linalg.svd(m)
-    return w @ vh
+def _gram_defect(e: np.ndarray) -> np.ndarray:
+    """X^dag X - I for X = I + e, written in e: e + e^dag + e^dag e."""
+    eh = e.conj().T
+    return e + eh + eh @ e
+
+
+def _polar_step(e: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step X (3I - X^dag X) / 2 towards the unitary polar factor of X = I + e.
+
+    Written in e, the step is e - (D + e D) / 2 with D = X^dag X - I, two
+    matrix products.  It converges quadratically (Higham, Functions of
+    Matrices, 2008, ch. 8): a defect ||D|| becomes O(||D||^2).
+    """
+    d = _gram_defect(e)
+    return e - 0.5 * (d + e @ d)
 
 
 def _squaring_ladder(u: SymOperator, r: int) -> tuple[bool, Iterator[np.ndarray]]:
-    """Whether u is unitary, and an iterator over u, u^2, u^4, ... up to the top bit of r.
+    """Whether u is unitary, and an iterator over u - I, u^2 - I, u^4 - I, ... up to the top bit of r.
 
+    Each power is held as E = power - I, so a step within machine epsilon of
+    the identity keeps its digits, and squares as (I + E)^2 - I = 2E + E^2.
     Plain repeated squaring drifts off the unitary manifold linearly in r
     (the squaring doubles the defect), so when u is unitary each square is
-    snapped back by polar projection, at the cost of one small SVD.  The
-    squares are made lazily, so a caller that needs each only once holds
-    one at a time.
+    snapped back by one Newton-Schulz polar step.  The squares are made
+    lazily, so a caller that needs each only once holds one at a time.
     """
     project = u.unitarity_defect() <= 1e-12
 
     def squares():
-        base = u.entries
-        yield base
+        e = u.minus_identity()
+        yield e
         for _ in range(int(r).bit_length() - 1):
-            base = base @ base
+            e = 2.0 * e + e @ e
             if project:
-                base = _nearest_unitary(base)
-            yield base
+                e = _polar_step(e)
+            yield e
 
     return project, squares()
 
 
 def matrix_power(u: SymOperator, r: int) -> SymOperator:
-    """u^r by binary exponentiation, O(log r) matrix products.
+    """u^r by binary exponentiation, O(log r) matrix products, with its exact delta.
 
-    r = 0 returns the identity.  For a unitary input the squarings and the
-    product are projected back onto the unitary group, so the result stays
-    unitary to roundoff for any r; non-unitary inputs take the plain path.
+    r = 0 returns the identity.  Powers are multiplied as
+    (I + A)(I + B) = I + A + B + AB.  For a unitary input the squarings and
+    the product are re-unitarized, so the result stays unitary to roundoff
+    for any r; non-unitary inputs take the plain path.
     """
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ValueError(f"step count must be a non-negative integer, got {r!r}")
     project, ladder = _squaring_ladder(u, r)
-    result = np.eye(u.n + 1, dtype=complex)
+    result = np.zeros((u.n + 1, u.n + 1), dtype=complex)
     for bit, base in enumerate(ladder):
         if (int(r) >> bit) & 1:
-            result = base @ result
+            result = base + result + base @ result
     if project and r > 1:
-        result = _nearest_unitary(result)
-    return SymOperator(u.n, result)
+        result = _polar_step(result)
+    return SymOperator.near_identity(u.n, result)
 
 
 def overlap(a: SymVector, b: SymVector) -> float:

@@ -113,19 +113,26 @@ def apply_factors(n: int, factors: Sequence[Factor], alpha: float, state: SymVec
 
 
 def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOperator:
-    """Operator realized by an exponent-factor sequence (first factor rightmost)."""
+    """Operator realized by an exponent-factor sequence (first factor rightmost).
+
+    The product is kept as E = op - I: each factor I + A, with A built from
+    expm1 phases, updates it as (I + A)(I + E) - I = E + A(I + E), so a short
+    step keeps its digits below machine epsilon.
+    """
     w, v = _mixer_eigensystem(n)
-    op = np.eye(n + 1, dtype=complex)
+    e = np.zeros((n + 1, n + 1), dtype=complex)
     for tag, tau in factors:
         if tag == COST:
-            phases = np.ones(n + 1, dtype=complex)
-            phases[0] = np.exp(-1j * tau)
-            op = phases[:, None] * op
+            # A = c |e_0><e_0| touches row 0 only: A(I + E) = c (e_0 + E[0])
+            c = np.expm1(-1j * tau)
+            e[0] += c * e[0]
+            e[0, 0] += c
         elif tag == MIXER:
-            op = (v * np.exp(-1j * alpha * tau * w)) @ (v.conj().T @ op)
+            op = e + np.eye(n + 1)
+            e = e + (v * np.expm1(-1j * alpha * tau * w)) @ (v.conj().T @ op)
         else:
             raise ValueError(f"unknown generator tag {tag!r}")
-    return SymOperator(n, op)
+    return SymOperator.near_identity(n, e)
 
 
 def step_operator(n: int, q: int, t: float, r: int, alpha: float | None = None) -> SymOperator:
@@ -141,9 +148,10 @@ def step_operator(n: int, q: int, t: float, r: int, alpha: float | None = None) 
 
 
 def trotterized_state(n: int, q: int, t: float, r: int, alpha: float | None = None) -> SymVector:
-    """S_q^r(t/r)|+>^n via binary powering of the step operator."""
+    """S_q^r(t/r)|+>^n via binary powering of the step operator, as |+> + (S^r - I)|+>."""
     u = symspace.matrix_power(step_operator(n, q, t, r, alpha), r)
-    return SymVector(n, u.entries @ symspace.plus_state(n).amp)
+    plus = symspace.plus_state(n).amp
+    return SymVector(n, plus + u.delta @ plus)
 
 
 def overlap_trace(
@@ -180,7 +188,7 @@ def overlap_trace(
         psi = plus
         for bit, base in enumerate(ladder):
             if (m >> bit) & 1:
-                psi = base @ psi
+                psi = psi + base @ psi
         out.append((m, float(abs(psi[0]) ** 2)))
     return out
 

@@ -75,6 +75,23 @@ def test_numeric_depth_rejects_zero_iterations():
         depthsearch.numeric_optimal_depth(8, 2, 0.1, refinement_iterations=0)
 
 
+def test_numeric_depth_rejects_negative_d_cap():
+    with pytest.raises(ValueError, match="d_cap must be >= 0"):
+        depthsearch.numeric_optimal_depth(8, 2, 0.1, d_cap=-1)
+    with pytest.raises(ValueError, match="d_cap must be >= 0"):
+        depthsearch.sweep_cell(8, 0.1, d_cap=-1)
+
+
+def test_zero_d_cap_refines_past_the_first_level():
+    # level 0 probes d = 1 only; every later level probes 2d' - 1 and 2d',
+    # and 2d' repeats the step count accepted one level up
+    res = depthsearch.numeric_optimal_depth(4, 2, 0.1, d_cap=0)
+    assert res.level == depthsearch.DEFAULT_ITERATIONS - 1
+    assert res.p_numerical == 3
+    record, failures = depthsearch.sweep_cell(4, 0.1, d_cap=0)
+    assert (record.q, record.p_numerical, failures) == (2, 3, [])
+
+
 def test_numeric_depth_failure_diagnostics():
     # a scan budget of zero cannot move past d=1, which is insufficient here
     with pytest.raises(depthsearch.DepthSearchError) as err:
@@ -177,7 +194,7 @@ def test_sweep_cell_matches_exhaustive_on_criterion_07_grid(n):
         (14, 0.001, depthsearch.SWEEP_ORDERS, 2, "decisive"),
         (20, 0.1, depthsearch.SWEEP_ORDERS, 2, "decisive"),
         (14, 0.001, (8, 2, 4), 2, "decisive"),
-        (4, 0.1, depthsearch.SWEEP_ORDERS, 0, "decisive"),
+        (4, 0.1, depthsearch.SWEEP_ORDERS, 0, "none"),
         (10, 0.001, (2,), 0, "decisive"),
         (16, 0.01, (8, 2, 4), depthsearch.DEFAULT_D_CAP, "none"),
         (24, 0.01, (8, 2, 4), depthsearch.DEFAULT_D_CAP, "none"),
