@@ -33,13 +33,13 @@ def reference_overlap(n: int) -> float:
 class DepthSearchError(RuntimeError):
     """Raised when a d-scan exhausts its per-level budget without acceptance."""
 
-    def __init__(self, n, q, epsilon, level, d_cap, best_overlap, threshold):
+    def __init__(self, n, q, epsilon, level, scanned, best_overlap, threshold):
         self.n, self.q, self.epsilon = n, q, epsilon
-        self.level, self.d_cap = level, d_cap
+        self.level, self.scanned = level, scanned
         self.best_overlap, self.threshold = best_overlap, threshold
         super().__init__(
             f"no accepted step count for n={n}, q={q}, eps={epsilon}: "
-            f"scanned {d_cap} multipliers at level {level}, best overlap "
+            f"scanned {scanned} multipliers at level {level}, best overlap "
             f"{best_overlap:.6f} < threshold {threshold:.6f}"
         )
 
@@ -109,7 +109,7 @@ def numeric_optimal_depth(
     d, level = 1, 0
     accepted_d = None
     for _ in range(refinement_iterations):
-        best = -1.0
+        best, d_first = -1.0, d
         scan_limit = d + (d_cap if level == 0 else max(d_cap, 1))
         while d <= scan_limit:
             r = _steps_at(n, d, level)
@@ -126,7 +126,7 @@ def numeric_optimal_depth(
                 return None
             d += 1
         else:
-            raise DepthSearchError(n, q, epsilon_overlap, level, d_cap, best, threshold)
+            raise DepthSearchError(n, q, epsilon_overlap, level, d - d_first, best, threshold)
         d, level = 2 * accepted_d - 1, level + 1
     level -= 1  # the last accepted scan happened at the previous level
     r_final = _steps_at(n, accepted_d, level)

@@ -135,16 +135,59 @@ def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOper
     return SymOperator.near_identity(n, e)
 
 
-def step_operator(n: int, q: int, t: float, r: int, alpha: float | None = None) -> SymOperator:
-    """One Trotter step S_q(t/r) as an (n+1)x(n+1) unitary.
+def _leaf_times(q: int, tau: float) -> list[float]:
+    """Durations of the order-2 blocks of one order-q step over tau: its COST coefficients."""
+    return [c for tag, c in suzuki_coefficients(q, tau) if tag == COST]
 
-    alpha defaults to the resonant coupling for n.
+
+def _recursive_delta(w: np.ndarray, v: np.ndarray, vh: np.ndarray, alpha: float, taus: list[float]) -> np.ndarray:
+    """E = S - I of the symmetric product of order-2 blocks lasting taus.
+
+    taus lists the blocks of a Suzuki step in order (``_leaf_times``), so an
+    order-q step splits into five equal-length runs: outer, outer, middle,
+    outer, outer.  Each is built once, as S_q = S_o^2 S_m S_o^2, with every
+    product, squares included, taken as (I + X)(I + Y) - I = X + Y + XY.
+    A single block is mixer(tau/2) cost(tau) mixer(tau/2).  Each level holds
+    one matrix while the next builds, so a q = 8 step needs about seven.
+    """
+    if len(taus) == 1:
+        tau = taus[0]
+        half = (v * np.expm1(-0.5j * alpha * tau * w)) @ vh
+        # cost(tau) mixer(tau/2) - I: the cost factor c|e_0><e_0| touches row 0 only
+        c = np.expm1(-1j * tau)
+        x = half.copy()
+        x[0] += c * half[0]
+        x[0, 0] += c
+        return _times_plus(half, x)
+    k = len(taus) // 5
+    outer = _recursive_delta(w, v, vh, alpha, taus[:k])
+    outer = _times_plus(outer, outer)
+    middle = _recursive_delta(w, v, vh, alpha, taus[2 * k : 3 * k])
+    return _times_plus(outer, _times_plus(middle, outer))
+
+
+def _times_plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(I + x)(I + y) - I = x + y + xy, written over x (which may be y)."""
+    xy = x @ y
+    x += y
+    x += xy
+    return x
+
+
+def step_operator(n: int, q: int, t: float, r: int, alpha: float | None = None) -> SymOperator:
+    """One Trotter step S_q(t/r) as an (n+1)x(n+1) unitary, with its exact delta.
+
+    Built by the Suzuki recursion S_q(tau) = S_(q-2)(u tau)^2 S_(q-2)((1-4u) tau)
+    S_(q-2)(u tau)^2 in E = S - I form: 2^(q/2-1) order-2 blocks of two
+    matrix products each and three products per level, 37 for q = 8 where
+    walking its 251 merged factors takes 252.  alpha defaults to the
+    resonant coupling for n.
     """
     _check_steps(r)
     if alpha is None:
         alpha = ctqw.alpha_star(n)
-    step = merge_adjacent(suzuki_coefficients(q, t / r))
-    return factors_operator(n, step, alpha)
+    w, v = _mixer_eigensystem(n)
+    return SymOperator.near_identity(n, _recursive_delta(w, v, v.conj().T, alpha, _leaf_times(q, t / r)))
 
 
 def trotterized_state(n: int, q: int, t: float, r: int, alpha: float | None = None) -> SymVector:
@@ -200,7 +243,7 @@ def block_times(q: int, t: float, r: int) -> np.ndarray:
     is the block's duration.
     """
     _check_steps(r)
-    return np.array([tau for tag, tau in suzuki_coefficients(q, t / r) if tag == COST] * r)
+    return np.array(_leaf_times(q, t / r) * r)
 
 
 @dataclass(frozen=True)

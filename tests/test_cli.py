@@ -137,7 +137,7 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 
 def test_partial_failure_exit_code(tmp_path, monkeypatch):
     def failing(n, q, epsilon, iterations=15, d_cap=4096):
-        raise depthsearch.DepthSearchError(n, q, epsilon, 0, d_cap, 0.0, 1.0)
+        raise depthsearch.DepthSearchError(n, q, epsilon, 0, d_cap + 1, 0.0, 1.0)
 
     monkeypatch.setattr(cli.depthsearch, "numeric_optimal_depth", failing)
     out = tmp_path / "fail.csv"

@@ -100,6 +100,23 @@ def test_numeric_depth_failure_diagnostics():
     assert err.value.best_overlap < err.value.threshold
 
 
+@pytest.mark.parametrize("d_cap", [0, 2])
+def test_depth_search_error_counts_evaluated_multipliers(d_cap, monkeypatch):
+    # the level-0 scan evaluates d = 1 through 1 + d_cap
+    calls = []
+    original = depthsearch.trotter.trotterized_state
+
+    def counted(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(depthsearch.trotter, "trotterized_state", counted)
+    with pytest.raises(depthsearch.DepthSearchError) as err:
+        depthsearch.numeric_optimal_depth(10, 2, 0.001, d_cap=d_cap)
+    assert err.value.scanned == len(set(calls)) == d_cap + 1
+    assert f"scanned {d_cap + 1} multipliers at level 0" in str(err.value)
+
+
 def test_grover_curve_small_cases():
     curve = depthsearch.grover_curve(2, 1)
     assert curve[0][1] == pytest.approx(0.25)  # k=0 -> 2^-n

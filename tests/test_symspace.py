@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trotterwalk import symspace
+from trotterwalk import bounds, ctqw, symspace, trotter
 from trotterwalk.symspace import COST, MIXER
 
 
@@ -141,6 +141,22 @@ def test_matrix_power_matches_naive_product():
 def test_matrix_power_unitarity_drift():
     u = symspace.evolution_operator(symspace.build_hx(8), 0.7)
     assert symspace.matrix_power(u, 10**6).unitarity_defect() <= 1e-9
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.001])
+@pytest.mark.parametrize("n", [56, 68, 80])
+def test_sparse_projection_keeps_powers_unitary(n, eps):
+    # the ladder projects every fourth squaring; in between, the Gram defect
+    # only doubles per squaring (measured at most 2.3e-14 on any rung)
+    q, t = 4, ctqw.t_star(n)
+    r = bounds.required_steps(n, q, eps)
+    step = trotter.step_operator(n, q, t, r)
+    project, ladder = symspace._squaring_ladder(step, r)
+    assert project
+    for e in ladder:
+        assert np.max(np.abs(symspace._gram_defect(e))) <= 1e-13
+    assert symspace.matrix_power(step, r).unitarity_defect() <= 1e-14
+    assert abs(trotter.trotterized_state(n, q, t, r).norm() - 1.0) <= 1e-13
 
 
 def test_matrix_power_additivity_on_unitary():

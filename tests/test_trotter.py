@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trotterwalk import ctqw, symspace, trotter
+from trotterwalk import bounds, ctqw, symspace, trotter
 from trotterwalk.symspace import COST, MIXER
 
 
@@ -69,6 +69,15 @@ def test_step_operator_identity_at_zero_time():
 def test_step_operator_unitary():
     u = trotter.step_operator(20, 6, ctqw.t_star(20), 64)
     assert u.unitarity_defect() <= 1e-11
+
+
+# the last case has r > 2^53, where the step's delta lies below machine epsilon of I
+@pytest.mark.parametrize("n, q, eps", [(n, q, 0.01) for n in (8, 32, 68) for q in (2, 4, 6, 8)] + [(80, 4, 0.001)])
+def test_recursive_step_matches_factor_walk(n, q, eps):
+    t, r = ctqw.t_star(n), bounds.required_steps(n, q, eps)
+    walked = trotter.factors_operator(n, trotter.merge_adjacent(trotter.suzuki_coefficients(q, t / r)), ctqw.alpha_star(n))
+    built = trotter.step_operator(n, q, t, r)
+    assert np.max(np.abs(built.delta - walked.delta)) <= 1e-13 * np.max(np.abs(walked.delta))
 
 
 def test_trotterized_state_converges_to_walk():
