@@ -36,7 +36,7 @@ def _check_positive(**kwargs) -> None:
 
 def delta_bound(n: int, q: int) -> float:
     """Closed-form bound 2(n+1)(2*alpha*(n+1)+1)^q on the commutator sum."""
-    symspace._check_n(n)
+    symspace.check_n(n)
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError(f"order must be an integer >= 1, got {q!r}")
     return exp(ln_delta_bound(n, q))
@@ -55,7 +55,7 @@ def delta_exact(n: int, q: int) -> float:
     identically but are enumerated anyway.  Cost grows as 2^(q+1), hence
     the order guard.
     """
-    symspace._check_n(n)
+    symspace.check_n(n)
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError(f"order must be an integer >= 1, got {q!r}")
     if q > 4:
@@ -150,7 +150,7 @@ class OrderEstimate(NamedTuple):
 
 def optimal_order(n: int, epsilon: float) -> OrderEstimate:
     """Order minimizing the analytic depth, and the even integer used in practice."""
-    symspace._check_n(n)
+    symspace.check_n(n)
     _check_positive(epsilon=epsilon)
     radicand = (0.5 * n * LN2 + log(2.0 * pi * (n + 1.0)) - log(5.0 * epsilon)) / LN5
     if radicand <= 0:

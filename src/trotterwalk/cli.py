@@ -33,6 +33,9 @@ ENV_OUTDIR = "TROTTERWALK_OUTDIR"
 
 N_MIN, N_MAX = 1, 80
 
+# bound-check measures the Trotter error at r = 2^j for each of these j
+BOUND_CHECK_R_EXPONENTS = range(2, 15)
+
 
 @dataclass
 class ExperimentConfig:
@@ -45,7 +48,6 @@ class ExperimentConfig:
     spacing: str = "linear"
     iterations: int = depthsearch.DEFAULT_ITERATIONS
     k_max: int | None = None
-    r_exponents: list[int] = field(default_factory=lambda: list(range(2, 15)))
     out: str = ""
     workers: int = 0
 
@@ -145,6 +147,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         config.workers = os.cpu_count() or 1
     if config.experiment in ("overlap-trace", "grover-curve") and len(config.ns) != 1:
         errors.append(f"{config.experiment} needs exactly one system size")
+    if config.experiment == "overlap-trace" and len(config.epsilons) > 1:
+        errors.append("overlap-trace needs exactly one error budget")
     if not config.out:
         outdir = os.environ.get(ENV_OUTDIR, ".")
         config.out = os.path.join(outdir, f"{config.experiment}.csv")
@@ -279,7 +283,7 @@ def run_bound_check(config: ExperimentConfig):
         for q in orders:
             db = bounds.delta_bound(n, q)
             stages = trotter.stage_count(q)
-            for j in config.r_exponents:
+            for j in BOUND_CHECK_R_EXPONENTS:
                 r = 2**j
                 measured = bounds.spectral_error(n, q, ts, r)
                 bound = bounds.trotter_error_bound(q, db, ts, r, stages)

@@ -32,7 +32,7 @@ def alpha_star(n: int) -> float:
 
     Behaves as 1/n + O(1/n^2) for large n.
     """
-    symspace._check_n(n)
+    symspace.check_n(n)
     p = p_weights(n)
     k = np.arange(1, n + 1, dtype=float)
     return float(0.5 * np.sum(p[1:] / k))
@@ -40,7 +40,7 @@ def alpha_star(n: int) -> float:
 
 def xi(n: int) -> float:
     """Splitting factor (2/sqrt(2^n)) * (sum_{k>=1} P_k/k^2)^(-1/2)."""
-    symspace._check_n(n)
+    symspace.check_n(n)
     p = p_weights(n)
     k = np.arange(1, n + 1, dtype=float)
     s = float(np.sum(p[1:] / k**2))
@@ -49,7 +49,7 @@ def xi(n: int) -> float:
 
 def t_star(n: int) -> float:
     """Walk time (pi/2)*sqrt(2^n) at which the target overlap peaks."""
-    symspace._check_n(n)
+    symspace.check_n(n)
     return (pi / 2.0) * float(np.exp(0.5 * n * log(2.0)))
 
 

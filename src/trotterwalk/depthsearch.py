@@ -156,7 +156,7 @@ def grover_curve(n: int, k_max: int) -> list[tuple[int, float]]:
     The iterate reflects about the target state then about |+>^n; both
     reflections act within the symmetric subspace.
     """
-    symspace._check_n(n)
+    symspace.check_n(n)
     if not isinstance(k_max, (int, np.integer)) or k_max < 1:
         raise ValueError(f"iteration count must be an integer >= 1, got {k_max!r}")
     s = symspace.plus_state(n).amp

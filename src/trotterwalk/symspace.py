@@ -11,9 +11,8 @@ full 2^n-dimensional space is included for cross-checking at small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lgamma, log, sqrt
-from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +32,7 @@ def ln_binom(n: int, k) -> np.ndarray:
     return lgamma(n + 1) - np.vectorize(lgamma)(k + 1) - np.vectorize(lgamma)(n - k + 1)
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"qubit count must be an integer >= 1, got {n!r}")
 
@@ -46,7 +45,7 @@ class SymVector:
     amp: np.ndarray
 
     def __post_init__(self):
-        _check_n(self.n)
+        check_n(self.n)
         amp = np.asarray(self.amp, dtype=complex)
         if amp.shape != (self.n + 1,):
             raise ValueError(f"amplitude vector must have length n+1={self.n + 1}, got shape {amp.shape}")
@@ -72,7 +71,7 @@ class SymOperator:
     delta: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_n(self.n)
+        check_n(self.n)
         shape = (self.n + 1, self.n + 1)
         for name in ("entries", "delta"):
             value = getattr(self, name)
@@ -96,6 +95,11 @@ class SymOperator:
         """Max-norm of U^dag U - I; zero for an exactly unitary operator."""
         return float(np.max(np.abs(_gram_defect(self.minus_identity()))))
 
+    @cached_property
+    def is_unitary(self) -> bool:
+        """Whether the unitarity defect is at most 1e-12, tested once per operator."""
+        return self.unitarity_defect() <= 1e-12
+
 
 def build_hx(n: int) -> SymOperator:
     """Hypercube adjacency operator restricted to the symmetric subspace.
@@ -104,7 +108,7 @@ def build_hx(n: int) -> SymOperator:
     sqrt((l+1)(n-l)) between weights l and l+1; its spectrum is
     {n - 2k : k = 0..n}.
     """
-    _check_n(n)
+    check_n(n)
     l = np.arange(n, dtype=float)
     off = np.sqrt((l + 1.0) * (n - l))
     m = np.zeros((n + 1, n + 1), dtype=complex)
@@ -115,7 +119,7 @@ def build_hx(n: int) -> SymOperator:
 
 def build_h0(n: int) -> SymOperator:
     """Rank-1 projector onto the target Dicke state |e_0> = |0...0>."""
-    _check_n(n)
+    check_n(n)
     m = np.zeros((n + 1, n + 1), dtype=complex)
     m[0, 0] = 1.0
     return SymOperator(n, m)
@@ -128,7 +132,7 @@ def plus_state(n: int) -> SymVector:
     stays accurate for n well past the point where C(n, n/2) overflows
     naive integer or product evaluation.
     """
-    _check_n(n)
+    check_n(n)
     k = np.arange(n + 1)
     amp = np.exp(0.5 * (ln_binom(n, k) - n * log(2.0)))
     return SymVector(n, amp.astype(complex))
@@ -136,7 +140,7 @@ def plus_state(n: int) -> SymVector:
 
 def basis_state(n: int, k: int) -> SymVector:
     """The Dicke basis vector |e_k>."""
-    _check_n(n)
+    check_n(n)
     if not 0 <= k <= n:
         raise ValueError(f"basis index must satisfy 0 <= k <= n, got {k}")
     amp = np.zeros(n + 1, dtype=complex)
@@ -198,16 +202,20 @@ def _polar_step(e: np.ndarray) -> np.ndarray:
     return e - 0.5 * (d + e @ d)
 
 
-# squarings between two polar steps of the ladder
+# squarings between two polar steps
 _POLAR_EVERY = 4
 
 
-def _squaring_ladder(u: SymOperator, r: int) -> tuple[bool, Iterator[np.ndarray]]:
-    """Whether u is unitary, and an iterator over u - I, u^2 - I, u^4 - I, ... up to the top bit of r.
+def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
+    """u^m x (x a vector or a matrix) for each m in steps, from one pass of repeated squaring.
 
-    Each power is held as E = power - I, so a step within machine epsilon of
-    the identity keeps its digits, and squares as (I + E)^2 - I = 2E + E^2.
-    Plain repeated squaring drifts off the unitary manifold linearly in r,
+    The squares u^(2^k) are made in turn and each is held, one at a time, as
+    E = u^(2^k) - I, so a step within machine epsilon of the identity keeps
+    its digits; it squares as (I + E)^2 - I = 2E + E^2, and each set bit k
+    of m updates that power's x as x + E x.  x is carried in full: an update
+    rounds at one ulp of x, which later unitary factors do not amplify,
+    while a rounding error in E is doubled by every later square.
+    Plain repeated squaring drifts off the unitary manifold linearly in m,
     so when u is unitary every ``_POLAR_EVERY``-th square is snapped back by
     one Newton-Schulz polar step.  Projecting more often buys nothing: if
     X^dag X = I + D, then (X^2)^dag X^2 = I + D + X^dag D X, so a square only
@@ -216,42 +224,38 @@ def _squaring_ladder(u: SymOperator, r: int) -> tuple[bool, Iterator[np.ndarray]
     does the defect leak into the unitary part: writing X = W (I + D/2) with
     W unitary, X^2 = W^2 (I + (W^dag D W + D)/2 + O(D^2)), whose polar factor
     is W^2 up to O(D^2).  That is 1.5 matrix products per squaring instead
-    of 3.  The squares are made lazily, so a caller that needs each only
-    once holds one at a time.
+    of 3.
     """
-    project = u.unitarity_defect() <= 1e-12
-
-    def squares():
-        e = u.minus_identity()
-        yield e
-        for k in range(1, int(r).bit_length()):
+    steps = list(steps)
+    for m in steps:
+        if not isinstance(m, (int, np.integer)) or m < 0:
+            raise ValueError(f"step count must be a non-negative integer, got {m!r}")
+    steps = [int(m) for m in steps]
+    out = [x] * len(steps)
+    e = u.minus_identity()
+    for k in range(max(steps, default=0).bit_length()):
+        if k:
             e = 2.0 * e + e @ e
-            if project and k % _POLAR_EVERY == 0:
+            if k % _POLAR_EVERY == 0 and u.is_unitary:
                 e = _polar_step(e)
-            yield e
-
-    return project, squares()
+        for i, m in enumerate(steps):
+            if (m >> k) & 1:
+                out[i] = out[i] + e @ out[i]
+    return out
 
 
 def matrix_power(u: SymOperator, r: int) -> SymOperator:
-    """u^r by binary exponentiation, O(log r) matrix products, with its exact delta.
+    """u^r by binary exponentiation, O(log r) matrix products, with u^r - I.
 
-    r = 0 returns the identity.  Powers are multiplied as
-    (I + A)(I + B) = I + A + B + AB.  For a unitary input the squarings and
-    the product are re-unitarized (the squarings every ``_POLAR_EVERY``-th,
-    the product once), so the result stays unitary to roundoff for any r;
-    non-unitary inputs take the plain path.
+    r = 0 returns the identity.  The power is ``apply_powers`` on the
+    identity; for a unitary input it is re-unitarized once more at the end,
+    so it stays unitary to roundoff for any r.
     """
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError(f"step count must be a non-negative integer, got {r!r}")
-    project, ladder = _squaring_ladder(u, r)
-    result = np.zeros((u.n + 1, u.n + 1), dtype=complex)
-    for bit, base in enumerate(ladder):
-        if (int(r) >> bit) & 1:
-            result = base + result + base @ result
-    if project and r > 1:
-        result = _polar_step(result)
-    return SymOperator.near_identity(u.n, result)
+    eye = np.eye(u.n + 1, dtype=complex)
+    delta = apply_powers(u, [r], eye)[0] - eye
+    if r > 1 and u.is_unitary:
+        delta = _polar_step(delta)
+    return SymOperator.near_identity(u.n, delta)
 
 
 def overlap(a: SymVector, b: SymVector) -> float:
@@ -277,7 +281,7 @@ def full_space_oracle(n: int, factors, alpha: float) -> SymVector:
     projects the result back onto the Dicke basis.  Only intended for tests;
     n is capped to keep the cost bounded.
     """
-    _check_n(n)
+    check_n(n)
     if n > MAX_FULL_SPACE_QUBITS:
         raise ValueError(f"full-space oracle capped at n <= {MAX_FULL_SPACE_QUBITS}, got {n}")
     dim = 2**n

@@ -191,10 +191,9 @@ def step_operator(n: int, q: int, t: float, r: int, alpha: float | None = None) 
 
 
 def trotterized_state(n: int, q: int, t: float, r: int, alpha: float | None = None) -> SymVector:
-    """S_q^r(t/r)|+>^n via binary powering of the step operator, as |+> + (S^r - I)|+>."""
-    u = symspace.matrix_power(step_operator(n, q, t, r, alpha), r)
-    plus = symspace.plus_state(n).amp
-    return SymVector(n, plus + u.delta @ plus)
+    """S_q^r(t/r)|+>^n, applying the step's binary powers to |+>."""
+    step = step_operator(n, q, t, r, alpha)
+    return SymVector(n, symspace.apply_powers(step, [r], symspace.plus_state(n).amp)[0])
 
 
 def overlap_trace(
@@ -209,9 +208,9 @@ def overlap_trace(
     """Target overlap after prefixes of the r-step sequence.
 
     Returns (steps_applied, overlap) pairs at `samples` prefix lengths from
-    0 to r, spaced linearly or geometrically.  Prefix powers reuse cached
-    squarings of the step operator, so the cost is O(samples * log r)
-    matrix products rather than O(r).
+    0 to r, spaced linearly or geometrically.  All prefixes share one pass
+    of squarings of the step operator: O(log r) matrix products plus
+    O(samples * log r) matrix-vector products rather than O(r).
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -223,17 +222,9 @@ def overlap_trace(
         raise ValueError(f"spacing must be 'linear' or 'geometric', got {spacing!r}")
     points = np.rint(points).astype(np.int64)
     points[-1] = r  # float spacing loses the endpoint once r > 2^53
-    _, squares = symspace._squaring_ladder(step_operator(n, q, t, r, alpha), r)
-    ladder = list(squares)  # every sample reuses the squarings
-    plus = symspace.plus_state(n).amp
-    out = []
-    for m in np.unique(points).tolist():
-        psi = plus
-        for bit, base in enumerate(ladder):
-            if (m >> bit) & 1:
-                psi = psi + base @ psi
-        out.append((m, float(abs(psi[0]) ** 2)))
-    return out
+    steps = np.unique(points).tolist()
+    states = symspace.apply_powers(step_operator(n, q, t, r, alpha), steps, symspace.plus_state(n).amp)
+    return [(m, float(abs(psi[0]) ** 2)) for m, psi in zip(steps, states)]
 
 
 def block_times(q: int, t: float, r: int) -> np.ndarray:

@@ -126,6 +126,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "z.csv").exists()
     assert cli.main(sweep + ["--orders", "4,4,2", "--out", str(tmp_path / "w.csv")]) == cli.EXIT_USAGE
     assert "admissible orders must not repeat, got [4, 4, 2]" in capsys.readouterr().err
+    trace = ["overlap-trace", "--n", "12", "--epsilon-list", "0.1,0.01", "--out", str(tmp_path / "t.csv")]
+    assert cli.main(trace) == cli.EXIT_USAGE
+    assert "overlap-trace needs exactly one error budget" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

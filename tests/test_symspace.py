@@ -127,15 +127,33 @@ def test_matrix_power_trivial():
         symspace.matrix_power(u, -1)
 
 
-def test_matrix_power_matches_naive_product():
+def _contraction() -> symspace.SymOperator:
+    """A fixed non-unitary 3x3 operator of spectral norm 1."""
     rng = np.random.default_rng(11)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     m /= np.linalg.norm(m, 2)  # keep powers O(1) so the comparison is meaningful
-    op = symspace.SymOperator(2, m)
+    return symspace.SymOperator(2, m)
+
+
+def test_matrix_power_matches_naive_product():
+    op = _contraction()
+    m = op.entries
     naive = np.eye(3, dtype=complex)
     for _ in range(16):
         naive = m @ naive
     assert np.max(np.abs(symspace.matrix_power(op, 16).entries - naive)) < 1e-12
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_apply_powers_matches_matrix_power(unitary):
+    op = trotter.step_operator(8, 4, ctqw.t_star(8), 64) if unitary else _contraction()
+    assert op.is_unitary == unitary
+    x = symspace.plus_state(op.n).amp
+    steps = [0, 1, 5, 2**40 + 3]
+    for m, y in zip(steps, symspace.apply_powers(op, steps, x)):
+        assert np.max(np.abs(y - symspace.matrix_power(op, m).entries @ x)) <= 1e-12, m
+    with pytest.raises(ValueError):
+        symspace.apply_powers(op, [3, -1], x)
 
 
 def test_matrix_power_unitarity_drift():
@@ -146,15 +164,15 @@ def test_matrix_power_unitarity_drift():
 @pytest.mark.parametrize("eps", [0.01, 0.001])
 @pytest.mark.parametrize("n", [56, 68, 80])
 def test_sparse_projection_keeps_powers_unitary(n, eps):
-    # the ladder projects every fourth squaring; in between, the Gram defect
+    # apply_powers projects every fourth squaring; in between, the Gram defect
     # only doubles per squaring (measured at most 2.3e-14 on any rung)
     q, t = 4, ctqw.t_star(n)
     r = bounds.required_steps(n, q, eps)
     step = trotter.step_operator(n, q, t, r)
-    project, ladder = symspace._squaring_ladder(step, r)
-    assert project
-    for e in ladder:
-        assert np.max(np.abs(symspace._gram_defect(e))) <= 1e-13
+    assert step.is_unitary
+    eye = np.eye(n + 1, dtype=complex)
+    for rung in symspace.apply_powers(step, [2**k for k in range(r.bit_length())], eye):
+        assert np.max(np.abs(symspace._gram_defect(rung - eye))) <= 1e-13
     assert symspace.matrix_power(step, r).unitarity_defect() <= 1e-14
     assert abs(trotter.trotterized_state(n, q, t, r).norm() - 1.0) <= 1e-13
 
