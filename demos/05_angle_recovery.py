@@ -12,8 +12,7 @@ alpha = ctqw.alpha_star(n)
 
 angles = trotter.qaoa_angles(q, t, r)
 print(f"n={n}, q={q}, r={r}: depth p = {angles.p}")
-print("block durations t_k :", np.round(angles.block_times, 3))
-print("cost angles gamma_k :", np.round(angles.gammas, 3))
+print("cost angles gamma_k :", np.round(angles.gammas, 3), "(= block durations t_k)")
 print("mixer angles beta_k :", np.round(angles.betas, 3), "(times alpha* when applied)")
 print(f"leading mixer half  : {angles.leading_mixer_half:.3f}  (global phase on |+>^n)")
 

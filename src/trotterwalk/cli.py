@@ -2,7 +2,7 @@
 
 Each subcommand runs one experiment family and writes a CSV (one
 ``#``-prefixed metadata line, then a header row, floats at 17 significant
-digits) plus a JSON sidecar holding the fully resolved configuration,
+digits) plus a JSON sidecar holding the settings the experiment reads, the
 library version, and wall-clock duration.  CSV bytes are deterministic for
 a given configuration; timestamps live only in the sidecar.
 
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -35,6 +36,10 @@ N_MIN, N_MAX = 1, 80
 
 # bound-check measures the Trotter error at r = 2^j for each of these j
 BOUND_CHECK_R_EXPONENTS = range(2, 15)
+
+# grover-curve builds one row per iteration in memory; its default count,
+# ceil(pi / (4 asin 2^(-n/2))), stays under this cap up to n = 40
+GROVER_MAX_ROWS = 10**6
 
 
 @dataclass
@@ -106,15 +111,16 @@ def write_sidecar(out: str, payload: dict) -> None:
 def validate(config: ExperimentConfig) -> list[str]:
     """Normalize the config in place and return every violation found."""
     errors: list[str] = []
-    if config.experiment not in RUNNERS:
+    spec = EXPERIMENTS.get(config.experiment)
+    if spec is None:
         errors.append(f"unknown experiment {config.experiment!r}")
+    settings = spec.settings if spec else ()
     if not config.ns:
         errors.append("no system size given (use --n or --n-range)")
     for n in config.ns:
         if not N_MIN <= n <= N_MAX:
             errors.append(f"n={n} outside supported range [{N_MIN}, {N_MAX}]")
-    needs_eps = config.experiment in ("overlap-trace", "depth-search", "analytic-depth", "ratio-sweep")
-    if needs_eps and not config.epsilons:
+    if "epsilons" in settings and not config.epsilons:
         errors.append("no error budget given (use --epsilon or --epsilon-list)")
     for eps in config.epsilons:
         if not 0.0 < eps < 1.0:
@@ -139,8 +145,12 @@ def validate(config: ExperimentConfig) -> list[str]:
         errors.append(f"--spacing must be linear or geometric, got {config.spacing!r}")
     if config.iterations < 1:
         errors.append(f"--iterations must be >= 1, got {config.iterations}")
+    if "k_max" in settings and config.k_max is None and len(config.ns) == 1 and N_MIN <= config.ns[0] <= N_MAX:
+        config.k_max = ceil(pi / (4.0 * asin(2.0 ** (-0.5 * config.ns[0]))))
     if config.k_max is not None and config.k_max < 1:
         errors.append(f"--k-max must be >= 1, got {config.k_max}")
+    if config.k_max is not None and config.k_max > GROVER_MAX_ROWS:
+        errors.append(f"grover-curve would write {config.k_max} rows, above the cap of {GROVER_MAX_ROWS}; set a smaller --k-max")
     if config.workers < 0:
         errors.append(f"--workers must be >= 0 (0 = one per CPU), got {config.workers}")
     if config.workers == 0:
@@ -196,7 +206,7 @@ def _depth_search_cell(args):
     try:
         res = depthsearch.numeric_optimal_depth(n, q, eps, iterations)
     except depthsearch.DepthSearchError as err:
-        return {"n": n, "epsilon": eps, "q": q, "error": str(err)}
+        return depthsearch.CellFailure(n=n, epsilon=eps, q=q, message=str(err))
     return res
 
 
@@ -205,8 +215,8 @@ def run_depth_search(config: ExperimentConfig):
     results = _map_cells(_depth_search_cell, cells, config.workers)
     rows, errors = [], []
     for res in results:
-        if isinstance(res, dict):
-            errors.append(res)
+        if isinstance(res, depthsearch.CellFailure):
+            errors.append(asdict(res))
             continue
         rows.append(
             (res.n, res.q, res.epsilon, res.r_final, res.p_numerical, res.overlap, res.reference, res.d, res.level, res.evaluations)
@@ -254,7 +264,7 @@ def run_ratio_sweep(config: ExperimentConfig):
         for failure in failures:
             errors.append(asdict(failure))
         if record is None:
-            errors.append({"n": n, "epsilon": eps, "error": "no admissible order produced a depth"})
+            errors.append({"n": n, "epsilon": eps, "message": "no admissible order produced a depth"})
         else:
             rows.append((record.n, record.epsilon, record.q, record.p_numerical, record.p_analytical, record.ratio))
     header = ["n", "epsilon", "q_best", "p_numerical", "p_analytical", "ratio"]
@@ -264,15 +274,12 @@ def run_ratio_sweep(config: ExperimentConfig):
 
 def run_grover_curve(config: ExperimentConfig):
     n = config.ns[0]
-    k_max = config.k_max
-    if k_max is None:
-        k_max = ceil(pi / (4.0 * asin(2.0 ** (-0.5 * n))))
     rows = [
         (k, ov, float(depthsearch.grover_closed_form(n, k)))
-        for k, ov in depthsearch.grover_curve(n, k_max)
+        for k, ov in depthsearch.grover_curve(n, config.k_max)
     ]
     header = ["iteration", "overlap", "overlap_closed_form"]
-    return header, rows, {"k_max": k_max}, []
+    return header, rows, {}, []
 
 
 def run_bound_check(config: ExperimentConfig):
@@ -292,13 +299,42 @@ def run_bound_check(config: ExperimentConfig):
     return header, rows, {"epsilon_role": "spectral"}, []
 
 
-RUNNERS = {
-    "overlap-trace": run_overlap_trace,
-    "depth-search": run_depth_search,
-    "analytic-depth": run_analytic_depth,
-    "ratio-sweep": run_ratio_sweep,
-    "grover-curve": run_grover_curve,
-    "bound-check": run_bound_check,
+@dataclass(frozen=True)
+class Experiment:
+    """A subcommand: its runner, help text, and the ExperimentConfig fields it
+    reads besides ``ns`` and ``out`` (each set by the flags in ``FLAGS``)."""
+
+    runner: Callable[[ExperimentConfig], tuple]
+    help: str
+    settings: tuple[str, ...]
+
+
+EXPERIMENTS = {
+    "overlap-trace": Experiment(
+        run_overlap_trace, "target overlap through a fixed-depth trotterized sequence", ("epsilons", "order", "samples", "spacing")
+    ),
+    "depth-search": Experiment(
+        run_depth_search, "numeric optimal-depth search at an overlap budget", ("epsilons", "order", "iterations", "workers")
+    ),
+    "analytic-depth": Experiment(run_analytic_depth, "analytic depth bound, optimal order, required steps", ("epsilons", "order")),
+    "ratio-sweep": Experiment(
+        run_ratio_sweep, "analytic vs numeric depth ratios over (n, epsilon) cells", ("epsilons", "orders", "iterations", "workers")
+    ),
+    "grover-curve": Experiment(run_grover_curve, "Grover iteration overlaps against the closed form", ("k_max",)),
+    "bound-check": Experiment(run_bound_check, "measured Trotter error against the analytic bound", ("order",)),
+}
+
+# flag -> (the ExperimentConfig field it sets, its argparse options)
+FLAGS = {
+    "--epsilon": ("epsilons", {"type": float, "help": "single error budget"}),
+    "--epsilon-list": ("epsilons", {"help": "comma-separated error budgets"}),
+    "--order": ("order", {"help": "even formula order, or 'auto' (default)"}),
+    "--orders": ("orders", {"help": "admissible orders, e.g. '2,4,6,8'"}),
+    "--samples": ("samples", {"type": int, "help": "trace sample count"}),
+    "--spacing": ("spacing", {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
+    "--iterations": ("iterations", {"type": int, "help": "depth-search refinement iterations"}),
+    "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {GROVER_MAX_ROWS})"}),
+    "--workers": ("workers", {"type": int, "help": "worker processes (default or 0: one per CPU)"}),
 }
 
 
@@ -313,14 +349,15 @@ def run(config: ExperimentConfig) -> int:
     """Execute a validated experiment; returns the process exit code."""
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-    header, rows, meta, errors = RUNNERS[config.experiment](config)
+    spec = EXPERIMENTS[config.experiment]
+    header, rows, meta, errors = spec.runner(config)
     duration = time.perf_counter() - t0
     write_csv(config.out, config.experiment, header, rows)
     write_sidecar(
         config.out,
         {
             "experiment": config.experiment,
-            "config": asdict(config),
+            "config": {key: value for key, value in asdict(config).items() if key in ("experiment", "ns", "out", *spec.settings)},
             "columns": header,
             "meta": meta,
             "errors": errors,
@@ -343,28 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiments on quantum-walk search trotterized into QAOA sequences.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, help_text in (
-        ("overlap-trace", "target overlap through a fixed-depth trotterized sequence"),
-        ("depth-search", "numeric optimal-depth search at an overlap budget"),
-        ("analytic-depth", "analytic depth bound, optimal order, required steps"),
-        ("ratio-sweep", "analytic vs numeric depth ratios over (n, epsilon) cells"),
-        ("grover-curve", "Grover iteration overlaps against the closed form"),
-        ("bound-check", "measured Trotter error against the analytic bound"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, spec in EXPERIMENTS.items():
+        # no abbreviations: with --order absent, '--order' would mean '--orders'
+        p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
         p.add_argument("--n", type=int, default=None, help="single system size")
         p.add_argument("--n-range", default=None, help="range 'lo..hi' or 'lo..hi:step'")
-        p.add_argument("--epsilon", type=float, default=None, help="single error budget")
-        p.add_argument("--epsilon-list", default=None, help="comma-separated error budgets")
-        p.add_argument("--order", default=None, help="even formula order, or 'auto' (default)")
-        p.add_argument("--orders", default=None, help="admissible orders for ratio-sweep, e.g. '2,4,6,8'")
-        p.add_argument("--samples", type=int, default=None, help="trace sample count")
-        p.add_argument("--spacing", default=None, choices=("linear", "geometric"), help="trace prefix spacing")
-        p.add_argument("--iterations", type=int, default=None, help="depth-search refinement iterations")
-        p.add_argument("--k-max", type=int, default=None, help="Grover iteration count")
+        for flag, (setting, kwargs) in FLAGS.items():
+            if setting in spec.settings:
+                p.add_argument(flag, default=None, **kwargs)
         p.add_argument("--out", default=None, help=f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)")
         p.add_argument("--config", default=None, help="JSON config file; explicit flags override it")
-        p.add_argument("--workers", type=int, default=None, help="worker processes (default or 0: one per CPU)")
     return parser
 
 
@@ -377,7 +402,7 @@ def _merge_config_file(args: argparse.Namespace) -> list[str]:
     except (OSError, json.JSONDecodeError) as err:
         return [f"cannot read config file {args.config}: {err}"]
     errors = []
-    # every flag but the subcommand and --config itself may come from the file
+    # every flag of this subcommand but --config itself may come from the file
     keys = set(vars(args)) - {"experiment", "config"}
     for key, value in data.items():
         dest = key.replace("-", "_")
@@ -390,6 +415,7 @@ def _merge_config_file(args: argparse.Namespace) -> list[str]:
 
 def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str]]:
     errors = _merge_config_file(args)
+    flag = vars(args).get  # a flag the subcommand does not have reads as None
     ns: list[int] = []
     if args.n is not None:
         ns.extend(parse_int_range(str(args.n)))
@@ -399,31 +425,33 @@ def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[
         except ValueError as err:
             errors.append(f"bad --n-range: {err}")
     epsilons: list[float] = []
-    if args.epsilon is not None:
+    if flag("epsilon") is not None:
         epsilons.append(float(args.epsilon))
-    if args.epsilon_list is not None:
+    if flag("epsilon_list") is not None:
         try:
             epsilons.extend(parse_float_list(str(args.epsilon_list)))
         except ValueError as err:
             errors.append(f"bad --epsilon-list: {err}")
     config = ExperimentConfig(experiment=args.experiment, ns=ns, epsilons=epsilons)
-    if args.order is not None:
+    if flag("order") is not None:
         config.order = str(args.order)
-    if args.orders is not None:
+    if flag("orders") is not None:
         try:
             config.orders = [int(x) for x in str(args.orders).split(",") if x.strip()]
         except ValueError:
             errors.append(f"bad --orders: {args.orders!r}")
     for key in ("samples", "spacing", "iterations", "k_max", "out", "workers"):
-        value = getattr(args, key)
+        value = flag(key)
         if value is not None:
             setattr(config, key, value)
     return config, errors
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
     config, errors = _config_from_args(args)
+    if unread:
+        errors.append(f"{args.experiment} does not take: {' '.join(unread)}")
     errors.extend(validate(config))
     if errors:
         for err in errors:

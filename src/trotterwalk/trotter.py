@@ -252,11 +252,10 @@ class QaoaAngles:
     p: int
     gammas: np.ndarray
     betas: np.ndarray
-    block_times: np.ndarray
 
     @property
     def leading_mixer_half(self) -> float:
-        return float(self.block_times[0] / 2.0)
+        return float(self.gammas[0] / 2.0)
 
 
 def qaoa_angles(q: int, t: float, r: int) -> QaoaAngles:
@@ -266,7 +265,7 @@ def qaoa_angles(q: int, t: float, r: int) -> QaoaAngles:
     betas = np.empty(p)
     betas[:-1] = (tk[:-1] + tk[1:]) / 2.0
     betas[-1] = tk[-1] / 2.0
-    return QaoaAngles(p=p, gammas=tk.copy(), betas=betas, block_times=tk)
+    return QaoaAngles(p=p, gammas=tk, betas=betas)
 
 
 def _angles_to_factors(angles: QaoaAngles) -> list[Factor]:

@@ -41,7 +41,7 @@ def test_validate_collects_all_violations():
 def test_overlap_trace_schema(tmp_path):
     out = tmp_path / "trace.csv"
     code = cli.main(
-        ["overlap-trace", "--n", "10", "--epsilon", "0.01", "--samples", "5", "--workers", "1", "--out", str(out)]
+        ["overlap-trace", "--n", "10", "--epsilon", "0.01", "--samples", "5", "--out", str(out)]
     )
     assert code == 0
     header, rows = read_csv(out)
@@ -63,6 +63,8 @@ def test_ratio_sweep_reproducible(tmp_path):
     assert header == ["n", "epsilon", "q_best", "p_numerical", "p_analytical", "ratio"]
     assert len(rows) == 2
     assert all(float(r[5]) > 1 for r in rows)
+    # the sidecar records the settings ratio-sweep reads and no others
+    assert set(read_sidecar(out1)["config"]) == {"experiment", "ns", "out", "epsilons", "orders", "iterations", "workers"}
 
 
 def test_analytic_depth_paper_point(tmp_path):
@@ -109,15 +111,16 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
-    for key in ("bogus", "target", "experiment", "config"):
-        cfg.write_text(json.dumps({"n": 6, "epsilon": 0.1, key: 1}))
+    # samples is a setting, but not one analytic-depth reads (5 is a valid count)
+    for key, value in (("bogus", 1), ("target", 1), ("experiment", 1), ("config", 1), ("samples", 5)):
+        cfg.write_text(json.dumps({"n": 6, "epsilon": 0.1, key: value}))
         assert cli.main(["analytic-depth", "--config", str(cfg)]) == cli.EXIT_USAGE
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
     code = cli.main(["overlap-trace", "--n", "99", "--epsilon", "2.0", "--out", str(tmp_path / "x.csv")])
     assert code == cli.EXIT_USAGE
-    code = cli.main(["grover-curve", "--n", "3", "--workers", "-1", "--out", str(tmp_path / "y.csv")])
+    code = cli.main(["depth-search", "--n", "3", "--epsilon", "0.1", "--workers", "-1", "--out", str(tmp_path / "y.csv")])
     assert code == 2
     assert "--workers must be >= 0 (0 = one per CPU), got -1" in capsys.readouterr().err
     sweep = ["ratio-sweep", "--n", "6", "--epsilon", "0.1", "--workers", "1"]
@@ -132,6 +135,62 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+# every optional flag each subcommand has no use for; --n, --n-range, --out
+# and --config belong to all six
+UNREAD_FLAGS = {
+    "overlap-trace": ["--orders", "--iterations", "--k-max", "--workers"],
+    "depth-search": ["--orders", "--samples", "--spacing", "--k-max"],
+    "analytic-depth": ["--orders", "--samples", "--spacing", "--iterations", "--k-max", "--workers"],
+    "ratio-sweep": ["--order", "--samples", "--spacing", "--k-max"],
+    "grover-curve": ["--epsilon", "--epsilon-list", "--order", "--orders", "--samples", "--spacing", "--iterations", "--workers"],
+    "bound-check": ["--epsilon", "--epsilon-list", "--orders", "--samples", "--spacing", "--iterations", "--k-max", "--workers"],
+}
+FLAG_VALUES = {
+    "--epsilon": "0.1",
+    "--epsilon-list": "0.1",
+    "--order": "2",
+    "--orders": "2,4",
+    "--samples": "5",
+    "--spacing": "linear",
+    "--iterations": "3",
+    "--k-max": "3",
+    "--workers": "1",
+}
+VALID_BASE = {
+    "overlap-trace": ["--n", "4", "--epsilon", "0.1"],
+    "depth-search": ["--n", "4", "--epsilon", "0.1"],
+    "analytic-depth": ["--n", "4", "--epsilon", "0.1"],
+    "ratio-sweep": ["--n", "4", "--epsilon", "0.1"],
+    "grover-curve": ["--n", "4"],
+    "bound-check": ["--n", "4"],
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, flag, value",
+    [(e, f, FLAG_VALUES[f]) for e, flags in UNREAD_FLAGS.items() for f in flags]
+    # an abbreviation of a flag the subcommand has is no spelling of it
+    + [("depth-search", "--iter", "3")],
+)
+def test_unread_flag_rejected(experiment, flag, value, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = cli.main([experiment, *VALID_BASE[experiment], flag, value, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert experiment in err and flag in err
+    assert not out.exists()
+
+
+def test_grover_curve_row_cap():
+    # the default count ceil(pi / (4 asin 2^(-n/2))) fits the cap up to n = 40
+    assert any("--k-max" in e for e in cli.validate(cli.ExperimentConfig(experiment="grover-curve", ns=[80])))
+    assert any("--k-max" in e for e in cli.validate(cli.ExperimentConfig(experiment="grover-curve", ns=[41])))
+    assert cli.validate(cli.ExperimentConfig(experiment="grover-curve", ns=[80], k_max=10)) == []
+    config = cli.ExperimentConfig(experiment="grover-curve", ns=[40])
+    assert cli.validate(config) == []
+    assert config.k_max == 823550
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
     assert cli.main(["grover-curve", "--n", "3", "--k-max", "2"]) == 0
@@ -140,7 +199,7 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 
 
 def test_partial_failure_exit_code(tmp_path, monkeypatch):
-    def failing(n, q, epsilon, iterations=15, d_cap=4096):
+    def failing(n, q, epsilon, iterations=15, d_cap=4096, **_):
         raise depthsearch.DepthSearchError(n, q, epsilon, 0, d_cap + 1, 0.0, 1.0)
 
     monkeypatch.setattr(cli.depthsearch, "numeric_optimal_depth", failing)
@@ -150,6 +209,13 @@ def test_partial_failure_exit_code(tmp_path, monkeypatch):
     meta = read_sidecar(out)
     assert len(meta["errors"]) == 1
     assert meta["errors"][0]["n"] == 8
+    assert set(meta["errors"][0]) == {"n", "epsilon", "q", "message"}
+    # ratio-sweep records each failed order and the cell with no admissible one
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["ratio-sweep", "--n", "8", "--epsilon", "0.1", "--orders", "2,4", "--workers", "1", "--out", str(out)])
+    assert code == cli.EXIT_PARTIAL
+    errors = read_sidecar(out)["errors"]
+    assert [set(e) for e in errors] == [{"n", "epsilon", "q", "message"}] * 2 + [{"n", "epsilon", "message"}]
 
 
 def test_console_entry_point(tmp_path):

@@ -49,6 +49,19 @@ def test_numeric_depth_acceptance_postcondition():
             assert overlap_at(r_below) < threshold
 
 
+@pytest.mark.parametrize("n", [70, 80])
+def test_numeric_depth_invariants_at_large_n(n):
+    # the README promises n <= 80; the search is checked at its top end
+    eps = 0.01
+    res = depthsearch.numeric_optimal_depth(n, 8, eps)
+    threshold = res.reference - eps
+    assert res.overlap >= threshold
+    r_below = depthsearch._steps_at(n, res.d - 1, res.level)
+    assert r_below < res.r_final
+    state = trotter.trotterized_state(n, 8, ctqw.t_star(n), r_below)
+    assert abs(state.amp[0]) ** 2 < threshold
+
+
 def test_numeric_depth_monotone_in_epsilon():
     rs = [depthsearch.numeric_optimal_depth(10, 2, eps).r_final for eps in (0.01, 0.05, 0.2)]
     assert rs[0] >= rs[1] >= rs[2]

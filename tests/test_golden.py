@@ -1,9 +1,10 @@
 """Golden-output gate: fixed CLI commands must keep writing the same CSVs.
 
-Each command is run through ``cli.main`` with one worker and its CSV is
-compared with the copy under ``tests/golden/``.  The header and every
-integer or boolean column must be byte-identical and the ``#`` line must
-match once the library version is removed.  A column is a float column when
+Each command is run through ``cli.main``, with one worker where the
+experiment takes ``--workers``, and its CSV is compared with the copy under
+``tests/golden/``.  The header and every integer or boolean column must be
+byte-identical and the ``#`` line must match once the library version is
+removed.  A column is a float column when
 any golden cell in it has a '.', an exponent, 'inf' or 'nan'; its values
 must agree within ``REL_TOL * |golden| + ABS_TOL``.  The absolute term
 covers values near zero, such as bound-check's ``spectral_error`` (down to
@@ -27,8 +28,8 @@ REL_TOL = 1e-10
 ABS_TOL = 1e-12
 
 COMMANDS = {
-    "ratio-sweep": ["--n-range", "16..24:2", "--epsilon-list", "0.1,0.01"],
-    "depth-search": ["--n-range", "10..16:2", "--epsilon", "0.05"],
+    "ratio-sweep": ["--n-range", "16..24:2", "--epsilon-list", "0.1,0.01", "--workers", "1"],
+    "depth-search": ["--n-range", "10..16:2", "--epsilon", "0.05", "--workers", "1"],
     "analytic-depth": ["--n", "46", "--epsilon", "0.01"],
     "grover-curve": ["--n", "10"],
     "bound-check": ["--n-range", "4..10:2"],
@@ -38,7 +39,7 @@ COMMANDS = {
 
 def generate(experiment: str, out: Path) -> list[str]:
     """Run one golden command, writing its CSV to ``out``; returns the CSV's lines."""
-    code = cli.main([experiment, *COMMANDS[experiment], "--workers", "1", "--out", str(out)])
+    code = cli.main([experiment, *COMMANDS[experiment], "--out", str(out)])
     assert code == cli.EXIT_OK, f"{experiment} exited with {code}"
     return out.read_text().splitlines()
 
