@@ -268,7 +268,7 @@ def run_ratio_sweep(config: ExperimentConfig):
         else:
             rows.append((record.n, record.epsilon, record.q, record.p_numerical, record.p_analytical, record.ratio))
     header = ["n", "epsilon", "q_best", "p_numerical", "p_analytical", "ratio"]
-    meta = {"orders": list(config.orders), "epsilon_role": "overlap for p_numerical, spectral for p_analytical"}
+    meta = {"epsilon_role": "overlap for p_numerical, spectral for p_analytical"}
     return header, rows, meta, errors
 
 
@@ -324,8 +324,11 @@ EXPERIMENTS = {
     "bound-check": Experiment(run_bound_check, "measured Trotter error against the analytic bound", ("order",)),
 }
 
-# flag -> (the ExperimentConfig field it sets, its argparse options)
+# flag -> (the ExperimentConfig field it sets, its argparse options); the
+# flags that set ns and out belong to every subcommand
 FLAGS = {
+    "--n": ("ns", {"type": int, "help": "single system size"}),
+    "--n-range": ("ns", {"help": "range 'lo..hi' or 'lo..hi:step'"}),
     "--epsilon": ("epsilons", {"type": float, "help": "single error budget"}),
     "--epsilon-list": ("epsilons", {"help": "comma-separated error budgets"}),
     "--order": ("order", {"help": "even formula order, or 'auto' (default)"}),
@@ -335,6 +338,7 @@ FLAGS = {
     "--iterations": ("iterations", {"type": int, "help": "depth-search refinement iterations"}),
     "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {GROVER_MAX_ROWS})"}),
     "--workers": ("workers", {"type": int, "help": "worker processes (default or 0: one per CPU)"}),
+    "--out": ("out", {"help": f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)"}),
 }
 
 
@@ -383,12 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, spec in EXPERIMENTS.items():
         # no abbreviations: with --order absent, '--order' would mean '--orders'
         p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
-        p.add_argument("--n", type=int, default=None, help="single system size")
-        p.add_argument("--n-range", default=None, help="range 'lo..hi' or 'lo..hi:step'")
         for flag, (setting, kwargs) in FLAGS.items():
-            if setting in spec.settings:
+            if setting in ("ns", "out", *spec.settings):
                 p.add_argument(flag, default=None, **kwargs)
-        p.add_argument("--out", default=None, help=f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)")
         p.add_argument("--config", default=None, help="JSON config file; explicit flags override it")
     return parser
 
@@ -401,16 +402,36 @@ def _merge_config_file(args: argparse.Namespace) -> list[str]:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         return [f"cannot read config file {args.config}: {err}"]
+    if not isinstance(data, dict):
+        return [f"config file {args.config} must hold a JSON object, got {type(data).__name__}"]
     errors = []
     # every flag of this subcommand but --config itself may come from the file
     keys = set(vars(args)) - {"experiment", "config"}
+    types = {flag[2:].replace("-", "_"): kwargs.get("type") for flag, (_, kwargs) in FLAGS.items()}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in keys:
             errors.append(f"unknown config key {key!r}")
         elif getattr(args, dest) is None:
-            setattr(args, dest, value)
+            try:
+                setattr(args, dest, _config_value(value, types[dest]))
+            except ValueError:
+                errors.append(f"config key {key!r}: invalid {types[dest].__name__} value {value!r}")
     return errors
+
+
+def _config_value(value, convert):
+    """A config-file value as its flag reads it from the command line.
+
+    A flag with an argparse ``type`` takes a JSON number and passes its JSON
+    text through that type, so 5.5 or "5" for an int flag is a ValueError.
+    A flag without one reads the JSON text of any value as its string.
+    """
+    if convert is None:
+        return value if isinstance(value, str) else json.dumps(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(value)
+    return convert(json.dumps(value))
 
 
 def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str]]:

@@ -11,6 +11,8 @@ numeric depth with the closed-form analytic depth at the same nominal value.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Generator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import asin
@@ -70,9 +72,7 @@ def numeric_optimal_depth(
     epsilon_overlap: float,
     refinement_iterations: int = DEFAULT_ITERATIONS,
     d_cap: int = DEFAULT_D_CAP,
-    *,
-    _prune_above: int | None = None,
-) -> DepthSearchResult | None:
+) -> DepthSearchResult:
     """Approximate the smallest depth reaching the walk overlap within epsilon.
 
     Deterministic in all arguments.  Each refinement level scans the step
@@ -82,9 +82,23 @@ def numeric_optimal_depth(
     scan length within one level.  Levels after the first probe at least
     2d' - 1 and 2d', and 2d' repeats the step count accepted one level up,
     so they always accept: the cap limits the initial coarse scan.
+    """
+    search = _depth_search(n, q, epsilon_overlap, refinement_iterations, d_cap)
+    try:
+        while True:
+            next(search)
+    except StopIteration as done:
+        return done.value
 
-    ``_prune_above`` is for ``sweep_cell``: the search returns None as soon
-    as every depth it could still return exceeds that value.
+
+def _depth_search(
+    n: int, q: int, epsilon_overlap: float, refinement_iterations: int, d_cap: int
+) -> Generator[int, None, DepthSearchResult]:
+    """The search of ``numeric_optimal_depth``, one rejected step count at a time.
+
+    After each rejected step count r, except the last d of a scan, it yields
+    stages(q) * (r + 1): no depth it can still return is smaller.  It returns
+    the DepthSearchResult or raises DepthSearchError.
     """
     trotter._check_order(q)
     if not 0.0 < epsilon_overlap < 1.0:
@@ -121,9 +135,9 @@ def numeric_optimal_depth(
             # Every step count still reachable exceeds r: later d at this level
             # give larger r, each later level starts above d * 2^(n/2 - level),
             # and a rejected r stays rejected in the cache.  The last d of a
-            # scan is never pruned, so an exhausted scan still raises.
-            if _prune_above is not None and d < scan_limit and stages * (r + 1) > _prune_above:
-                return None
+            # scan yields nothing, so an exhausted scan raises at once.
+            if d < scan_limit:
+                yield stages * (r + 1)
             d += 1
         else:
             raise DepthSearchError(n, q, epsilon_overlap, level, d - d_first, best, threshold)
@@ -201,40 +215,43 @@ def sweep_cell(
     """Depth comparison for one cell: numeric minimum over orders vs closed form.
 
     The numeric depth is the smallest p = stages(q) * r over ``orders``; on
-    equal p the order earlier in ``orders`` wins.  The search is a
-    branch-and-bound: ``bounds.optimal_order(n, epsilon).q_even`` is searched
-    first if it is admissible, then the other orders in their given order.
-    Once a scan has rejected multiplier d at level l, that order cannot
-    return less than stages(q) * (_steps_at(n, d, l) + 1); the order is
-    dropped when this exceeds the best depth so far.  The result equals a
-    full search of every order.
+    equal p the order earlier in ``orders`` wins.  The search is a best-first
+    branch-and-bound over the orders' searches, run side by side: each order
+    holds a lower bound on the depth it can still return, stages(q) at the
+    start and stages(q) * (r + 1) once its scan has rejected r.  The order
+    with the smallest bound (then the earlier one in ``orders``) always takes
+    the next step, and the cell stops once the smallest bound exceeds the
+    best finished depth.  The result equals a full search of every order.
 
     Orders whose search fails are skipped.  A scan failure implies that
     order needs more than (d_cap+1) * 2^(n/2 - level) steps, so failures
     that provably cannot beat the best surviving depth are dropped as
     benign; only decisive failures are returned, in the order of
-    ``orders``.  A dropped order could only have failed later in its first
-    scan, where that bound exceeds the best depth too: at later levels the
-    second probe repeats the step count accepted one level up.  The record
-    is None if every order failed.
+    ``orders``.  An unfinished order could only have failed later in its
+    first scan, where that bound exceeds the best depth too: at later levels
+    the second probe repeats the step count accepted one level up.  The
+    record is None if every order failed.
     """
     if not orders:
         raise ValueError("orders must be non-empty")
-    first = bounds.optimal_order(n, epsilon).q_even
+    searches = [_depth_search(n, q, epsilon, refinement_iterations, d_cap) for q in orders]
+    heap = [(trotter.stage_count(q), rank) for rank, q in enumerate(orders)]
+    heapq.heapify(heap)
     failures: list[tuple[int, CellFailure, float]] = []
     best: tuple[int, int] | None = None  # (p, rank in orders) of the best depth so far
-    for rank in sorted(range(len(orders)), key=lambda i: orders[i] != first):
-        q = orders[rank]
+    while heap and (best is None or heap[0][0] <= best[0]):
+        _, rank = heapq.heappop(heap)
         try:
-            res = numeric_optimal_depth(
-                n, q, epsilon, refinement_iterations, d_cap, _prune_above=None if best is None else best[0]
-            )
+            bound = next(searches[rank])
+        except StopIteration as done:
+            found = (done.value.p_numerical, rank)
+            best = found if best is None else min(best, found)
         except DepthSearchError as err:
+            q = orders[rank]
             p_lower = trotter.stage_count(q) * _steps_at(n, d_cap + 1, err.level)
             failures.append((rank, CellFailure(n=n, epsilon=epsilon, q=q, message=str(err)), p_lower))
-            continue
-        if res is not None and (best is None or (res.p_numerical, rank) < best):
-            best = (res.p_numerical, rank)
+        else:
+            heapq.heappush(heap, (bound, rank))
     failures.sort(key=lambda f: f[0])
     if best is None:
         return None, [f for _, f, _ in failures]

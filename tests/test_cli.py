@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from trotterwalk import cli, depthsearch
+from trotterwalk import cli, depthsearch, symspace
 
 
 def read_csv(path):
@@ -64,7 +64,10 @@ def test_ratio_sweep_reproducible(tmp_path):
     assert len(rows) == 2
     assert all(float(r[5]) > 1 for r in rows)
     # the sidecar records the settings ratio-sweep reads and no others
-    assert set(read_sidecar(out1)["config"]) == {"experiment", "ns", "out", "epsilons", "orders", "iterations", "workers"}
+    meta = read_sidecar(out1)
+    assert set(meta["config"]) == {"experiment", "ns", "out", "epsilons", "orders", "iterations", "workers"}
+    # config.orders records the orders; meta does not repeat them
+    assert set(meta["meta"]) == {"epsilon_role"}
 
 
 def test_analytic_depth_paper_point(tmp_path):
@@ -115,6 +118,24 @@ def test_config_file_unknown_key(tmp_path):
     for key, value in (("bogus", 1), ("target", 1), ("experiment", 1), ("config", 1), ("samples", 5)):
         cfg.write_text(json.dumps({"n": 6, "epsilon": 0.1, key: value}))
         assert cli.main(["analytic-depth", "--config", str(cfg)]) == cli.EXIT_USAGE
+
+
+def test_config_file_values_take_their_flag_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "trace.csv"
+    # an int flag takes a JSON integer, as --samples 5 gives one
+    for key, value in (("samples", "5"), ("n", "ten"), ("samples", 5.5), ("samples", True), ("epsilon", "0.1")):
+        cfg.write_text(json.dumps({"n": 10, "epsilon": 0.1, key: value}))
+        assert cli.main(["overlap-trace", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"config key {key!r}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+    cfg.write_text(json.dumps([10, 0.1]))
+    assert cli.main(["overlap-trace", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    assert "must hold a JSON object, got list" in capsys.readouterr().err
+    # a flag without a type reads any value as text, as before
+    cfg.write_text(json.dumps({"n": 10, "epsilon": 0.1, "samples": 5, "order": 4, "spacing": "geometric"}))
+    assert cli.main(["overlap-trace", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert read_sidecar(out)["config"]["order"] == "4"
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -199,10 +220,12 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 
 
 def test_partial_failure_exit_code(tmp_path, monkeypatch):
-    def failing(n, q, epsilon, iterations=15, d_cap=4096, **_):
-        raise depthsearch.DepthSearchError(n, q, epsilon, 0, d_cap + 1, 0.0, 1.0)
+    # a state with no target amplitude is rejected at every step count, so
+    # each search fails its first scan, inside sweep_cell as well
+    def no_overlap(n, q, t, r, alpha=None):
+        return symspace.basis_state(n, n)
 
-    monkeypatch.setattr(cli.depthsearch, "numeric_optimal_depth", failing)
+    monkeypatch.setattr(depthsearch.trotter, "trotterized_state", no_overlap)
     out = tmp_path / "fail.csv"
     code = cli.main(["depth-search", "--n", "8", "--epsilon", "0.1", "--workers", "1", "--out", str(out)])
     assert code == cli.EXIT_PARTIAL

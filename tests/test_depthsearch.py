@@ -238,6 +238,14 @@ def test_sweep_cell_matches_exhaustive_with_failures_and_orders(n, eps, orders, 
     assert depthsearch.sweep_cell(n, eps, orders, d_cap=d_cap) == (record, decisive)
 
 
+@pytest.mark.parametrize("n, q_best", [(38, 6), (44, 8)])
+def test_sweep_cell_matches_exhaustive_past_the_bounds_order(n, q_best):
+    # the numeric winner is not the order the analytic bound picks
+    record, decisive, _ = exhaustive_sweep_cell(n, 0.01)
+    assert record.q == q_best != bounds.optimal_order(n, 0.01).q_even
+    assert depthsearch.sweep_cell(n, 0.01) == (record, decisive)
+
+
 def test_sweep_cell_prunes_losing_orders(monkeypatch):
     full = sum(depthsearch.numeric_optimal_depth(24, q, 0.01).evaluations for q in depthsearch.SWEEP_ORDERS)
     calls = []
@@ -250,6 +258,22 @@ def test_sweep_cell_prunes_losing_orders(monkeypatch):
     monkeypatch.setattr(trotter, "trotterized_state", counting)
     depthsearch.sweep_cell(24, 0.01)
     assert len(calls) < full
+
+
+def test_sweep_cell_best_first_stops_losing_orders_early(monkeypatch):
+    # best-first by lower bound: the losing orders stop near the q = 8 depth
+    # (searching the bound's q = 4 first took 84 evaluations here)
+    calls = []
+    original = trotter.trotterized_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trotter, "trotterized_state", counting)
+    record, _ = depthsearch.sweep_cell(44, 0.01)
+    assert record.q == 8
+    assert len(calls) <= 48
 
 
 def test_sweep_cell_rejects_empty_orders():
