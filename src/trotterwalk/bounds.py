@@ -180,17 +180,30 @@ def required_steps(n: int, q: int, epsilon: float) -> int:
     ln_d = ln_delta_bound(n, q)
     ts = ctqw.t_star(n)
     ln_r = (LN2 + (q + 1) * log(stages) + ln_d + (q + 1) * log(ts) - log(q + 1.0) - log(epsilon)) / q
-    r = max(1, ceil(exp(ln_r)))
-    # guard the float fence: enforce the defining inequality exactly
-    while ln_trotter_error_bound(q, ln_d, ts, r, stages) > log(epsilon):
-        r += 1
-    while r > 1 and ln_trotter_error_bound(q, ln_d, ts, r - 1, stages) <= log(epsilon):
-        r -= 1
-    return r
+    # guard the float fence: the smallest r meeting the defining inequality
+    # exactly.  The estimate can be millions of steps off at r ~ 1e21, so
+    # bracket the answer by doubling steps from it, then bisect.
+    def within(r: int) -> bool:
+        return ln_trotter_error_bound(q, ln_d, ts, r, stages) <= log(epsilon)
+
+    hi = max(1, ceil(exp(ln_r)))
+    lo, step = hi - 1, 1  # lo fails (or is 0, below every step count)
+    while not within(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    step = 1
+    while lo >= 1 and within(lo):
+        hi, lo, step = lo, max(0, lo - step), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if within(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def spectral_error(n: int, q: int, t: float, r: int, alpha: float | None = None) -> float:
-    """Measured ||U(alpha, t) - S_q^r(t/r)||_2 (largest singular value).
+def spectral_error(n: int, q: int, t: float, r: int) -> float:
+    """Measured ||U(t) - S_q^r(t/r)||_2 (largest singular value) at alpha*(n).
 
     Global-phase sensitive by construction, matching the bound's norm.  The
     difference is formed as (U - I) - (S^r - I), from both operators' exact
@@ -199,8 +212,6 @@ def spectral_error(n: int, q: int, t: float, r: int, alpha: float | None = None)
     a floor that grows like 2^(n/2): 1.6e-3 to 2.0e-3 at n = 80, where
     t* = 1.7e12, and about 5e-4 at n = 76.
     """
-    if alpha is None:
-        alpha = ctqw.alpha_star(n)
-    u = symspace.evolution_operator(ctqw.walk_hamiltonian(n, alpha), t)
-    s = symspace.matrix_power(trotter.step_operator(n, q, t, r, alpha), r)
+    u = symspace.evolution_operator(ctqw.walk_hamiltonian(n, ctqw.alpha_star(n)), t)
+    s = symspace.matrix_power(trotter.step_operator(n, q, t, r), r)
     return float(np.linalg.svd(u.delta - s.delta, compute_uv=False)[0])

@@ -78,6 +78,10 @@ def parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+def parse_int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -328,11 +332,11 @@ EXPERIMENTS = {
 # flags that set ns and out belong to every subcommand
 FLAGS = {
     "--n": ("ns", {"type": int, "help": "single system size"}),
-    "--n-range": ("ns", {"help": "range 'lo..hi' or 'lo..hi:step'"}),
+    "--n-range": ("ns", {"type": parse_int_range, "help": "range 'lo..hi' or 'lo..hi:step'"}),
     "--epsilon": ("epsilons", {"type": float, "help": "single error budget"}),
-    "--epsilon-list": ("epsilons", {"help": "comma-separated error budgets"}),
+    "--epsilon-list": ("epsilons", {"type": parse_float_list, "help": "comma-separated error budgets"}),
     "--order": ("order", {"help": "even formula order, or 'auto' (default)"}),
-    "--orders": ("orders", {"help": "admissible orders, e.g. '2,4,6,8'"}),
+    "--orders": ("orders", {"type": parse_int_list, "help": "admissible orders, e.g. '2,4,6,8'"}),
     "--samples": ("samples", {"type": int, "help": "trace sample count"}),
     "--spacing": ("spacing", {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
     "--iterations": ("iterations", {"type": int, "help": "depth-search refinement iterations"}),
@@ -407,7 +411,7 @@ def _merge_config_file(args: argparse.Namespace) -> list[str]:
     errors = []
     # every flag of this subcommand but --config itself may come from the file
     keys = set(vars(args)) - {"experiment", "config"}
-    types = {flag[2:].replace("-", "_"): kwargs.get("type") for flag, (_, kwargs) in FLAGS.items()}
+    types = {flag[2:].replace("-", "_"): kwargs.get("type", str) for flag, (_, kwargs) in FLAGS.items()}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in keys:
@@ -423,12 +427,12 @@ def _merge_config_file(args: argparse.Namespace) -> list[str]:
 def _config_value(value, convert):
     """A config-file value as its flag reads it from the command line.
 
-    A flag with an argparse ``type`` takes a JSON number and passes its JSON
-    text through that type, so 5.5 or "5" for an int flag is a ValueError.
-    A flag without one reads the JSON text of any value as its string.
+    A JSON string or number is the flag's text (a number as its JSON text)
+    and passes through the flag's argparse ``type``.  Int and float flags
+    take only numbers, so 5.5 or "5" for an int flag is a ValueError.
     """
-    if convert is None:
-        return value if isinstance(value, str) else json.dumps(value)
+    if isinstance(value, str) and convert not in (int, float):
+        return convert(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(value)
     return convert(json.dumps(value))
@@ -436,35 +440,16 @@ def _config_value(value, convert):
 
 def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str]]:
     errors = _merge_config_file(args)
-    flag = vars(args).get  # a flag the subcommand does not have reads as None
-    ns: list[int] = []
-    if args.n is not None:
-        ns.extend(parse_int_range(str(args.n)))
-    if args.n_range is not None:
-        try:
-            ns.extend(parse_int_range(str(args.n_range)))
-        except ValueError as err:
-            errors.append(f"bad --n-range: {err}")
-    epsilons: list[float] = []
-    if flag("epsilon") is not None:
-        epsilons.append(float(args.epsilon))
-    if flag("epsilon_list") is not None:
-        try:
-            epsilons.extend(parse_float_list(str(args.epsilon_list)))
-        except ValueError as err:
-            errors.append(f"bad --epsilon-list: {err}")
-    config = ExperimentConfig(experiment=args.experiment, ns=ns, epsilons=epsilons)
-    if flag("order") is not None:
-        config.order = str(args.order)
-    if flag("orders") is not None:
-        try:
-            config.orders = [int(x) for x in str(args.orders).split(",") if x.strip()]
-        except ValueError:
-            errors.append(f"bad --orders: {args.orders!r}")
-    for key in ("samples", "spacing", "iterations", "k_max", "out", "workers"):
-        value = flag(key)
-        if value is not None:
-            setattr(config, key, value)
+    config = ExperimentConfig(experiment=args.experiment)
+    for flag, (setting, _) in FLAGS.items():
+        # None: not given, or not a flag of this subcommand
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        if setting in ("ns", "epsilons"):
+            getattr(config, setting).extend(value if isinstance(value, list) else [value])
+        else:
+            setattr(config, setting, value)
     return config, errors
 
 

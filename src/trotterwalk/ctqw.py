@@ -12,6 +12,7 @@ eigenstate pair behind the two-level picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log, pi, sqrt
 from typing import NamedTuple
 
@@ -27,8 +28,9 @@ def p_weights(n: int) -> np.ndarray:
     return np.exp(symspace.ln_binom(n, k) - n * log(2.0))
 
 
+@lru_cache(maxsize=None)
 def alpha_star(n: int) -> float:
-    """Resonant walk coupling (1/2) * sum_{k>=1} P_k / k.
+    """Resonant walk coupling (1/2) * sum_{k>=1} P_k / k, cached.
 
     Behaves as 1/n + O(1/n^2) for large n.
     """

@@ -110,13 +110,12 @@ def _depth_search(
     stages = trotter.stage_count(q)
     threshold = reference_overlap(n) - epsilon_overlap
     ts = ctqw.t_star(n)
-    alpha = ctqw.alpha_star(n)
     cache: dict[int, float] = {}
 
     def overlap_at(r: int) -> float:
         hit = cache.get(r)
         if hit is None:
-            state = trotter.trotterized_state(n, q, ts, r, alpha)
+            state = trotter.trotterized_state(n, q, ts, r)
             cache[r] = hit = float(abs(state.amp[0]) ** 2)
         return hit
 
@@ -269,13 +268,7 @@ def sweep_cell(
     return record, decisive
 
 
-def ratio_sweep(
-    n_list,
-    epsilon_list,
-    orders=SWEEP_ORDERS,
-    refinement_iterations: int = DEFAULT_ITERATIONS,
-    d_cap: int = DEFAULT_D_CAP,
-) -> tuple[list[SweepRecord], list[CellFailure]]:
+def ratio_sweep(n_list, epsilon_list, orders=SWEEP_ORDERS) -> tuple[list[SweepRecord], list[CellFailure]]:
     """Cell-by-cell depth comparison over a grid of sizes and budgets.
 
     Per-cell failures are collected, not raised; output ordering is by
@@ -287,7 +280,7 @@ def ratio_sweep(
     failures: list[CellFailure] = []
     for n in sorted(set(n_list)):
         for eps in sorted(set(epsilon_list)):
-            record, cell_failures = sweep_cell(n, eps, orders, refinement_iterations, d_cap)
+            record, cell_failures = sweep_cell(n, eps, orders)
             failures.extend(cell_failures)
             if record is not None:
                 records.append(record)

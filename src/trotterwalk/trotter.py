@@ -3,10 +3,11 @@
 A step of the order-q formula approximates exp(-i(alpha*H_x + H_0)*tau) by an
 ordered product of cost exponentials exp(-i*c*H_0) and mixer exponentials
 exp(-i*c*alpha*H_x).  Factor lists store pure time coefficients (alpha enters
-when operators are built) in application order: the first factor hits the
-state first.  Merging adjacent same-generator factors across r steps yields
-an alternating sequence, i.e. a QAOA circuit of depth p = r * 5^(q/2-1); the
-leading half-mixer acts on |+>^n as a global phase, which is how the grouped
+when operators are built; steps and angle circuits use the resonant alpha*)
+in application order: the first factor hits the state first.  Merging
+adjacent same-generator factors across r steps yields an alternating
+sequence, i.e. a QAOA circuit of depth p = r * 5^(q/2-1); the leading
+half-mixer acts on |+>^n as a global phase, which is how the grouped
 sequence and the depth-p ansatz coincide.
 """
 
@@ -105,11 +106,9 @@ def _mixer_eigensystem(n: int):
     return symspace.hermitian_eigensystem(symspace.build_hx(n))
 
 
-def apply_factors(n: int, factors: Sequence[Factor], alpha: float, state: SymVector | None = None) -> SymVector:
-    """Apply an exponent-factor sequence to a state (default |+>^n)."""
-    if state is None:
-        state = symspace.plus_state(n)
-    return SymVector(n, factors_operator(n, factors, alpha).entries @ state.amp)
+def apply_factors(n: int, factors: Sequence[Factor], alpha: float) -> SymVector:
+    """Apply an exponent-factor sequence to |+>^n."""
+    return SymVector(n, factors_operator(n, factors, alpha).entries @ symspace.plus_state(n).amp)
 
 
 def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOperator:
@@ -174,37 +173,27 @@ def _times_plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def step_operator(n: int, q: int, t: float, r: int, alpha: float | None = None) -> SymOperator:
+def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
     """One Trotter step S_q(t/r) as an (n+1)x(n+1) unitary, with its exact delta.
 
-    Built by the Suzuki recursion S_q(tau) = S_(q-2)(u tau)^2 S_(q-2)((1-4u) tau)
-    S_(q-2)(u tau)^2 in E = S - I form: 2^(q/2-1) order-2 blocks of two
-    matrix products each and three products per level, 37 for q = 8 where
-    walking its 251 merged factors takes 252.  alpha defaults to the
-    resonant coupling for n.
+    The walk runs at the resonant coupling alpha*(n).  Built by the Suzuki
+    recursion S_q(tau) = S_(q-2)(u tau)^2 S_(q-2)((1-4u) tau) S_(q-2)(u tau)^2
+    in E = S - I form: 2^(q/2-1) order-2 blocks of two matrix products each
+    and three products per level, 37 for q = 8 where walking its 251 merged
+    factors takes 252.
     """
     _check_steps(r)
-    if alpha is None:
-        alpha = ctqw.alpha_star(n)
     w, v = _mixer_eigensystem(n)
-    return SymOperator.near_identity(n, _recursive_delta(w, v, v.conj().T, alpha, _leaf_times(q, t / r)))
+    return SymOperator.near_identity(n, _recursive_delta(w, v, v.conj().T, ctqw.alpha_star(n), _leaf_times(q, t / r)))
 
 
-def trotterized_state(n: int, q: int, t: float, r: int, alpha: float | None = None) -> SymVector:
+def trotterized_state(n: int, q: int, t: float, r: int) -> SymVector:
     """S_q^r(t/r)|+>^n, applying the step's binary powers to |+>."""
-    step = step_operator(n, q, t, r, alpha)
+    step = step_operator(n, q, t, r)
     return SymVector(n, symspace.apply_powers(step, [r], symspace.plus_state(n).amp)[0])
 
 
-def overlap_trace(
-    n: int,
-    q: int,
-    t: float,
-    r: int,
-    samples: int,
-    spacing: str = "linear",
-    alpha: float | None = None,
-) -> list[tuple[int, float]]:
+def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str = "linear") -> list[tuple[int, float]]:
     """Target overlap after prefixes of the r-step sequence.
 
     Returns (steps_applied, overlap) pairs at `samples` prefix lengths from
@@ -214,27 +203,18 @@ def overlap_trace(
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    # points are spaced in float64, which also holds an r past 2^63
     if spacing == "linear":
-        points = np.linspace(0, r, samples)
+        points = np.linspace(0.0, float(r), samples)
     elif spacing == "geometric":
-        points = np.concatenate(([0], np.geomspace(1, r, samples - 1)))
+        points = np.concatenate(([0.0], np.geomspace(1.0, float(r), samples - 1)))
     else:
         raise ValueError(f"spacing must be 'linear' or 'geometric', got {spacing!r}")
-    points = np.rint(points).astype(np.int64)
+    points = [int(x) for x in np.rint(points)]
     points[-1] = r  # float spacing loses the endpoint once r > 2^53
-    steps = np.unique(points).tolist()
-    states = symspace.apply_powers(step_operator(n, q, t, r, alpha), steps, symspace.plus_state(n).amp)
+    steps = sorted(set(points))
+    states = symspace.apply_powers(step_operator(n, q, t, r), steps, symspace.plus_state(n).amp)
     return [(m, float(abs(psi[0]) ** 2)) for m, psi in zip(steps, states)]
-
-
-def block_times(q: int, t: float, r: int) -> np.ndarray:
-    """Durations t_k of the p = r*stages order-2 blocks making up S_q^r(t/r).
-
-    Each order-2 block carries exactly one cost factor, whose coefficient
-    is the block's duration.
-    """
-    _check_steps(r)
-    return np.array(_leaf_times(q, t / r) * r)
 
 
 @dataclass(frozen=True)
@@ -259,13 +239,14 @@ class QaoaAngles:
 
 
 def qaoa_angles(q: int, t: float, r: int) -> QaoaAngles:
-    """Recover depth-p QAOA angles from the grouped order-q formula."""
-    tk = block_times(q, t, r)
-    p = len(tk)
-    betas = np.empty(p)
-    betas[:-1] = (tk[:-1] + tk[1:]) / 2.0
-    betas[-1] = tk[-1] / 2.0
-    return QaoaAngles(p=p, gammas=tk, betas=betas)
+    """Read depth-p QAOA angles off the grouped order-q formula.
+
+    Its factors alternate mixer, cost, ..., cost, mixer: the costs are the
+    gammas and the mixers after the leading half are the betas.
+    """
+    coeffs = np.array([c for _, c in group_sequence(q, r, t).factors])
+    gammas = coeffs[1::2]
+    return QaoaAngles(p=len(gammas), gammas=gammas, betas=coeffs[2::2])
 
 
 def _angles_to_factors(angles: QaoaAngles) -> list[Factor]:
@@ -276,18 +257,14 @@ def _angles_to_factors(angles: QaoaAngles) -> list[Factor]:
     return factors
 
 
-def apply_qaoa_angles(n: int, angles: QaoaAngles, alpha: float | None = None) -> SymVector:
-    """Run the alternating-ansatz circuit from recovered angles on |+>^n."""
-    if alpha is None:
-        alpha = ctqw.alpha_star(n)
-    return apply_factors(n, _angles_to_factors(angles), alpha)
+def apply_qaoa_angles(n: int, angles: QaoaAngles) -> SymVector:
+    """Run the alternating-ansatz circuit from recovered angles on |+>^n, at alpha*(n)."""
+    return apply_factors(n, _angles_to_factors(angles), ctqw.alpha_star(n))
 
 
-def angles_operator(n: int, angles: QaoaAngles, alpha: float | None = None) -> SymOperator:
-    """Full operator of the recovered-angle circuit, leading half included."""
-    if alpha is None:
-        alpha = ctqw.alpha_star(n)
-    return factors_operator(n, _angles_to_factors(angles), alpha)
+def angles_operator(n: int, angles: QaoaAngles) -> SymOperator:
+    """Full operator of the recovered-angle circuit at alpha*(n), leading half included."""
+    return factors_operator(n, _angles_to_factors(angles), ctqw.alpha_star(n))
 
 
 def phase_aligned_distance(a: SymOperator, b: SymOperator) -> float:

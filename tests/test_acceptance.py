@@ -143,14 +143,13 @@ def test_criterion_08_depth_vs_epsilon():
 
 def test_criterion_09_angle_recovery():
     n = 6
-    alpha = ctqw.alpha_star(n)
     t = ctqw.t_star(n)
     worst = 0.0
     for q in (2, 4, 6):
         for r in range(1, 17):
             angles = trotter.qaoa_angles(q, t, r)
-            rebuilt = trotter.angles_operator(n, angles, alpha)
-            reference = symspace.matrix_power(trotter.step_operator(n, q, t, r, alpha), r)
+            rebuilt = trotter.angles_operator(n, angles)
+            reference = symspace.matrix_power(trotter.step_operator(n, q, t, r), r)
             worst = max(worst, trotter.phase_aligned_distance(rebuilt, reference))
     report(9, worst <= 1e-10, f"48 (q, r) combinations, max operator distance {worst:.2e}")
 

@@ -155,6 +155,21 @@ def test_required_steps_monotone_in_epsilon():
     assert rs[0] >= rs[1] >= rs[2]
 
 
+def test_required_steps_bisects_far_from_its_estimate(monkeypatch):
+    # at r ~ 2e21 the closed-form estimate is about 8e6 steps off the answer
+    calls = 0
+    inner = bounds.ln_trotter_error_bound
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(bounds, "ln_trotter_error_bound", counted)
+    assert bounds.required_steps(80, 2, 0.001) == 2276034248947467419649
+    assert calls <= 200
+
+
 def test_spectral_error_limits():
     n, q = 5, 2
     ts = ctqw.t_star(n)

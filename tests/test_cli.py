@@ -132,7 +132,7 @@ def test_config_file_values_take_their_flag_types(tmp_path, capsys):
     cfg.write_text(json.dumps([10, 0.1]))
     assert cli.main(["overlap-trace", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
     assert "must hold a JSON object, got list" in capsys.readouterr().err
-    # a flag without a type reads any value as text, as before
+    # a flag without a type reads a string or a number as its text
     cfg.write_text(json.dumps({"n": 10, "epsilon": 0.1, "samples": 5, "order": 4, "spacing": "geometric"}))
     assert cli.main(["overlap-trace", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     assert read_sidecar(out)["config"]["order"] == "4"
@@ -154,6 +154,38 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert cli.main(trace) == cli.EXIT_USAGE
     assert "overlap-trace needs exactly one error budget" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n-range", "16..x"), ("--epsilon-list", "0.1,abc"), ("--orders", "2,x"), ("--n-range", "6..8:0")],
+)
+def test_malformed_list_flag(flag, value, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = {"--n-range": "6", "--epsilon-list": "0.1", "--orders": "2", "--workers": "1", "--out": str(out)}
+    args[flag] = value
+    try:
+        code = cli.main(["ratio-sweep", *(part for item in args.items() for part in item)])
+    except SystemExit as stop:
+        code = stop.code
+    assert code == cli.EXIT_USAGE
+    assert not out.exists()
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+
+
+def test_config_file_list_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_range": "16..18:2", "epsilon_list": "0.1", "orders": "2,4", "workers": 1}))
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert cli.main(["ratio-sweep", "--config", str(cfg), "--out", str(from_file)]) == cli.EXIT_OK
+    flags = ["--n-range", "16..18:2", "--epsilon-list", "0.1", "--orders", "2,4", "--workers", "1"]
+    assert cli.main(["ratio-sweep", *flags, "--out", str(from_flags)]) == cli.EXIT_OK
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"n": 6, "epsilon": 0.1, "orders": [2, 4]}))
+    assert cli.main(["ratio-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == cli.EXIT_USAGE
+    assert "'orders'" in capsys.readouterr().err
 
 
 # every optional flag each subcommand has no use for; --n, --n-range, --out
@@ -222,7 +254,7 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 def test_partial_failure_exit_code(tmp_path, monkeypatch):
     # a state with no target amplitude is rejected at every step count, so
     # each search fails its first scan, inside sweep_cell as well
-    def no_overlap(n, q, t, r, alpha=None):
+    def no_overlap(n, q, t, r):
         return symspace.basis_state(n, n)
 
     monkeypatch.setattr(depthsearch.trotter, "trotterized_state", no_overlap)

@@ -126,11 +126,12 @@ def test_overlap_trace_geometric_spacing():
 
 
 def test_overlap_trace_ends_at_r_past_float_precision():
-    # r = 2^60 + 1 has no exact double, so float spacing alone ends off r
-    r = 2**60 + 1
-    for spacing in ("linear", "geometric"):
-        trace = trotter.overlap_trace(4, 2, ctqw.t_star(4), r, samples=5, spacing=spacing)
-        assert trace[-1][0] == r
+    # r = 2^60 + 1 has no exact double, so float spacing alone ends off r;
+    # r = 2^64 + 1 does not fit an int64 either
+    for r in (2**60 + 1, 2**64 + 1):
+        for spacing in ("linear", "geometric"):
+            trace = trotter.overlap_trace(4, 2, ctqw.t_star(4), r, samples=5, spacing=spacing)
+            assert trace[-1][0] == r
 
 
 def test_overlap_trace_follows_two_level_profile():
@@ -164,13 +165,12 @@ def test_qaoa_angles_interior_merge():
 @pytest.mark.parametrize("q", [2, 4, 6])
 def test_angle_reconstruction_operator_equality(q):
     n = 5
-    alpha = ctqw.alpha_star(n)
     for r in (1, 4, 16):
         t = 0.8 * ctqw.t_star(n)
         ang = trotter.qaoa_angles(q, t, r)
         assert ang.p == r * trotter.stage_count(q)
-        rec = trotter.angles_operator(n, ang, alpha)
-        ref = symspace.matrix_power(trotter.step_operator(n, q, t, r, alpha), r)
+        rec = trotter.angles_operator(n, ang)
+        ref = symspace.matrix_power(trotter.step_operator(n, q, t, r), r)
         assert trotter.phase_aligned_distance(rec, ref) < 1e-10
 
 
@@ -184,13 +184,15 @@ def test_angle_circuit_reproduces_state():
         assert np.max(np.abs(state.amp - ref.amp)) < 1e-10
 
 
-def test_block_times_sum():
+def test_qaoa_angles_are_the_grouped_sequence():
     for q, r in ((2, 5), (4, 2), (6, 3)):
-        tk = trotter.block_times(q, 4.2, r)
-        assert len(tk) == r * trotter.stage_count(q)
-        assert tk.sum() == pytest.approx(4.2, rel=1e-12)
-        costs = [tau for tag, tau in trotter.group_sequence(q, r, 4.2).factors if tag == COST]
-        assert tk.tolist() == costs
+        ang = trotter.qaoa_angles(q, 4.2, r)
+        assert len(ang.gammas) == len(ang.betas) == ang.p == r * trotter.stage_count(q)
+        assert ang.gammas.sum() == pytest.approx(4.2, rel=1e-12)
+        factors = trotter.group_sequence(q, r, 4.2).factors
+        assert factors[0] == (MIXER, ang.leading_mixer_half)
+        assert factors[1::2] == tuple((COST, gamma) for gamma in ang.gammas.tolist())
+        assert factors[2::2] == tuple((MIXER, beta) for beta in ang.betas.tolist())
 
 
 def test_order_scaling_small():
