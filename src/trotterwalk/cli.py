@@ -58,7 +58,7 @@ class ExperimentConfig:
 
 
 def parse_int_range(text: str) -> list[int]:
-    """Parse '12' or '16..32' or '16..32:2' into a list of integers."""
+    """Parse '12' or '16..32' or '16..32:2' into a list of at most N_MAX - N_MIN + 1 integers."""
     text = text.strip()
     if ".." not in text:
         return [int(text)]
@@ -71,7 +71,10 @@ def parse_int_range(text: str) -> list[int]:
         hi = rest
     if step < 1:
         raise ValueError(f"range step must be >= 1, got {step}")
-    return list(range(int(lo), int(hi) + 1, step))
+    sizes = range(int(lo), int(hi) + 1, step)
+    if len(sizes) > N_MAX - N_MIN + 1:  # refused before the list is built
+        raise ValueError(f"range holds {len(sizes)} sizes, more than the {N_MAX - N_MIN + 1} in [{N_MIN}, {N_MAX}]")
+    return list(sizes)
 
 
 def parse_float_list(text: str) -> list[float]:
@@ -121,9 +124,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     settings = spec.settings if spec else ()
     if not config.ns:
         errors.append("no system size given (use --n or --n-range)")
-    for n in config.ns:
-        if not N_MIN <= n <= N_MAX:
-            errors.append(f"n={n} outside supported range [{N_MIN}, {N_MAX}]")
+    outside = [n for n in config.ns if not N_MIN <= n <= N_MAX]
+    if outside:
+        errors.append(f"{len(outside)} system size(s) outside supported range [{N_MIN}, {N_MAX}]: smallest n={min(outside)}, largest n={max(outside)}")
     if "epsilons" in settings and not config.epsilons:
         errors.append("no error budget given (use --epsilon or --epsilon-list)")
     for eps in config.epsilons:

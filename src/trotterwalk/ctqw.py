@@ -24,8 +24,7 @@ from .symspace import SymOperator, SymVector
 
 def p_weights(n: int) -> np.ndarray:
     """Binomial distribution P_k = C(n,k)/2^n for k = 0..n, log-domain."""
-    k = np.arange(n + 1)
-    return np.exp(symspace.ln_binom(n, k) - n * log(2.0))
+    return np.exp(symspace.ln_binom(n) - n * log(2.0))
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,11 @@
 
 The search asks: how few Trotter steps r keep the trotterized walk's target
 overlap within epsilon of the exact walk's?  Steps are parametrized as
-r = d * 2^(n/2 - l); d is scanned upward one by one until the overlap
-condition holds, then the resolution is refined (d -> 2d - 1, l -> l + 1)
-for a fixed number of iterations.  epsilon here is an overlap deficit, not
+r = d * 2^(n/2 - l), and the search runs in two phases.  The first scans
+d = 1, 2, ... at l = 0 until the overlap condition holds.  The second
+halves the resolution for a fixed number of further levels: it probes
+2d - 1 at l + 1 once and, if that is rejected, takes 2d, which repeats the
+step count accepted at l.  epsilon here is an overlap deficit, not
 the spectral budget used by the analytic bounds; sweep records pair the
 numeric depth with the closed-form analytic depth at the same nominal value.
 """
@@ -33,7 +35,7 @@ def reference_overlap(n: int) -> float:
 
 
 class DepthSearchError(RuntimeError):
-    """Raised when a d-scan exhausts its per-level budget without acceptance."""
+    """Raised when the level-0 d-scan exhausts its budget without acceptance."""
 
     def __init__(self, n, q, epsilon, level, scanned, best_overlap, threshold):
         self.n, self.q, self.epsilon = n, q, epsilon
@@ -75,13 +77,12 @@ def numeric_optimal_depth(
 ) -> DepthSearchResult:
     """Approximate the smallest depth reaching the walk overlap within epsilon.
 
-    Deterministic in all arguments.  Each refinement level scans the step
-    multiplier d upward until |<e_0|S_q^r|+>|^2 >= reference - epsilon, then
-    halves the resolution starting from d = 2d' - 1.  The returned depth is
-    r * 5^(q/2-1) at the final accepted step count.  d_cap >= 0 bounds the
-    scan length within one level.  Levels after the first probe at least
-    2d' - 1 and 2d', and 2d' repeats the step count accepted one level up,
-    so they always accept: the cap limits the initial coarse scan.
+    Deterministic in all arguments.  Level 0 scans the step multiplier
+    d = 1..1+d_cap until |<e_0|S_q^r|+>|^2 >= reference - epsilon, and raises
+    DepthSearchError if none passes.  Each of the other
+    refinement_iterations - 1 levels halves the resolution: it tries
+    d -> 2d - 1 and otherwise keeps d -> 2d, the step count already
+    accepted.  The returned depth is r * 5^(q/2-1) at the final step count.
     """
     search = _depth_search(n, q, epsilon_overlap, refinement_iterations, d_cap)
     try:
@@ -96,9 +97,9 @@ def _depth_search(
 ) -> Generator[int, None, DepthSearchResult]:
     """The search of ``numeric_optimal_depth``, one rejected step count at a time.
 
-    After each rejected step count r, except the last d of a scan, it yields
-    stages(q) * (r + 1): no depth it can still return is smaller.  It returns
-    the DepthSearchResult or raises DepthSearchError.
+    After each rejected step count r, except the last d of the level-0
+    scan, it yields stages(q) * (r + 1): no depth it can still return is
+    smaller.  It returns the DepthSearchResult or raises DepthSearchError.
     """
     trotter._check_order(q)
     if not 0.0 < epsilon_overlap < 1.0:
@@ -119,37 +120,36 @@ def _depth_search(
             cache[r] = hit = float(abs(state.amp[0]) ** 2)
         return hit
 
-    d, level = 1, 0
-    accepted_d = None
-    for _ in range(refinement_iterations):
-        best, d_first = -1.0, d
-        scan_limit = d + (d_cap if level == 0 else max(d_cap, 1))
-        while d <= scan_limit:
-            r = _steps_at(n, d, level)
-            ov = overlap_at(r)
-            best = max(best, ov)
-            if ov >= threshold:
-                accepted_d = d
-                break
-            # Every step count still reachable exceeds r: later d at this level
-            # give larger r, each later level starts above d * 2^(n/2 - level),
-            # and a rejected r stays rejected in the cache.  The last d of a
-            # scan yields nothing, so an exhausted scan raises at once.
-            if d < scan_limit:
-                yield stages * (r + 1)
-            d += 1
+    # phase 1: scan d = 1..1+d_cap at level 0
+    for d in range(1, d_cap + 2):
+        r = _steps_at(n, d, 0)
+        if overlap_at(r) >= threshold:
+            break
+        # Every step count still reachable exceeds r: later d give larger r,
+        # later levels refine an accepted d' > d to no less than
+        # (d' - 1) * 2^(n/2), and a rejected r stays rejected in the cache.
+        # The last d yields nothing, so an exhausted scan raises at once.
+        if d <= d_cap:
+            yield stages * (r + 1)
+    else:
+        raise DepthSearchError(n, q, epsilon_overlap, 0, d_cap + 1, max(cache.values()), threshold)
+    # phase 2: probe 2d - 1 once; 2d repeats the step count accepted one level up
+    for level in range(1, refinement_iterations):
+        r = _steps_at(n, 2 * d - 1, level)
+        if overlap_at(r) >= threshold:
+            d = 2 * d - 1
         else:
-            raise DepthSearchError(n, q, epsilon_overlap, level, d - d_first, best, threshold)
-        d, level = 2 * accepted_d - 1, level + 1
-    level -= 1  # the last accepted scan happened at the previous level
-    r_final = _steps_at(n, accepted_d, level)
+            yield stages * (r + 1)
+            d = 2 * d
+    level = refinement_iterations - 1
+    r_final = _steps_at(n, d, level)
     return DepthSearchResult(
         n=n,
         q=q,
         epsilon=epsilon_overlap,
         p_numerical=r_final * stages,
         r_final=r_final,
-        d=accepted_d,
+        d=d,
         level=level,
         overlap=overlap_at(r_final),
         reference=reference_overlap(n),
@@ -222,14 +222,13 @@ def sweep_cell(
     the next step, and the cell stops once the smallest bound exceeds the
     best finished depth.  The result equals a full search of every order.
 
-    Orders whose search fails are skipped.  A scan failure implies that
-    order needs more than (d_cap+1) * 2^(n/2 - level) steps, so failures
-    that provably cannot beat the best surviving depth are dropped as
-    benign; only decisive failures are returned, in the order of
-    ``orders``.  An unfinished order could only have failed later in its
-    first scan, where that bound exceeds the best depth too: at later levels
-    the second probe repeats the step count accepted one level up.  The
-    record is None if every order failed.
+    Orders whose search fails are skipped.  A search fails only in its
+    level-0 scan, which implies that order needs more than
+    (d_cap+1) * 2^(n/2) steps, so failures that provably cannot beat the
+    best surviving depth are dropped as benign; only decisive failures are
+    returned, in the order of ``orders``.  An unfinished order could only
+    have failed later in that scan, where the bound exceeds the best depth
+    too.  The record is None if every order failed.
     """
     if not orders:
         raise ValueError("orders must be non-empty")
@@ -247,7 +246,7 @@ def sweep_cell(
             best = found if best is None else min(best, found)
         except DepthSearchError as err:
             q = orders[rank]
-            p_lower = trotter.stage_count(q) * _steps_at(n, d_cap + 1, err.level)
+            p_lower = trotter.stage_count(q) * _steps_at(n, d_cap + 1, 0)
             failures.append((rank, CellFailure(n=n, epsilon=epsilon, q=q, message=str(err)), p_lower))
         else:
             heapq.heappush(heap, (bound, rank))

@@ -26,10 +26,10 @@ COST = "cost"
 MIXER = "mixer"
 
 
-def ln_binom(n: int, k) -> np.ndarray:
-    """Natural log of the binomial coefficient C(n, k), vectorized over k."""
-    k = np.asarray(k, dtype=float)
-    return lgamma(n + 1) - np.vectorize(lgamma)(k + 1) - np.vectorize(lgamma)(n - k + 1)
+def ln_binom(n: int) -> np.ndarray:
+    """Natural logs of the binomial coefficients C(n, k) for k = 0..n."""
+    lg = np.array([lgamma(k + 1.0) for k in range(n + 1)])
+    return lg[n] - lg - lg[::-1]
 
 
 def check_n(n: int) -> None:
@@ -133,8 +133,7 @@ def plus_state(n: int) -> SymVector:
     naive integer or product evaluation.
     """
     check_n(n)
-    k = np.arange(n + 1)
-    amp = np.exp(0.5 * (ln_binom(n, k) - n * log(2.0)))
+    amp = np.exp(0.5 * (ln_binom(n) - n * log(2.0)))
     return SymVector(n, amp.astype(complex))
 
 
@@ -185,10 +184,18 @@ def evolve(h: SymOperator, t: float, v: SymVector) -> SymVector:
     return SymVector(v.n, amp)
 
 
+def _times_plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(I + x)(I + y) - I = x + y + xy, written over x (which may be y)."""
+    xy = x @ y
+    x += y
+    x += xy
+    return x
+
+
 def _gram_defect(e: np.ndarray) -> np.ndarray:
-    """X^dag X - I for X = I + e, written in e: e + e^dag + e^dag e."""
-    eh = e.conj().T
-    return e + eh + eh @ e
+    """X^dag X - I for X = I + e, written in e."""
+    # np.conj copies even a real e (e.conj() would not), and the product writes over it
+    return _times_plus(np.conj(e).T, e)
 
 
 def _polar_step(e: np.ndarray) -> np.ndarray:
@@ -232,10 +239,10 @@ def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
             raise ValueError(f"step count must be a non-negative integer, got {m!r}")
     steps = [int(m) for m in steps]
     out = [x] * len(steps)
-    e = u.minus_identity()
+    e = u.minus_identity().copy()  # squares are written over e, never over u's delta
     for k in range(max(steps, default=0).bit_length()):
         if k:
-            e = 2.0 * e + e @ e
+            e = _times_plus(e, e)
             if k % _POLAR_EVERY == 0 and u.is_unitary:
                 e = _polar_step(e)
         for i, m in enumerate(steps):
@@ -304,8 +311,7 @@ def full_space_oracle(n: int, factors, alpha: float) -> SymVector:
         else:
             raise ValueError(f"unknown generator tag {tag!r}")
     weights = _hamming_weights(n)
-    k = np.arange(n + 1)
     sums = np.zeros(n + 1, dtype=complex)
     np.add.at(sums, weights, psi)
-    amp = sums * np.exp(-0.5 * ln_binom(n, k))
+    amp = sums * np.exp(-0.5 * ln_binom(n))
     return SymVector(n, amp)

@@ -134,43 +134,29 @@ def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOper
     return SymOperator.near_identity(n, e)
 
 
-def _leaf_times(q: int, tau: float) -> list[float]:
-    """Durations of the order-2 blocks of one order-q step over tau: its COST coefficients."""
-    return [c for tag, c in suzuki_coefficients(q, tau) if tag == COST]
+def _recursive_delta(w: np.ndarray, v: np.ndarray, vh: np.ndarray, alpha: float, q: int, tau: float) -> np.ndarray:
+    """E = S_q(tau) - I of one order-q Suzuki step, built by recursing on q.
 
-
-def _recursive_delta(w: np.ndarray, v: np.ndarray, vh: np.ndarray, alpha: float, taus: list[float]) -> np.ndarray:
-    """E = S - I of the symmetric product of order-2 blocks lasting taus.
-
-    taus lists the blocks of a Suzuki step in order (``_leaf_times``), so an
-    order-q step splits into five equal-length runs: outer, outer, middle,
-    outer, outer.  Each is built once, as S_q = S_o^2 S_m S_o^2, with every
-    product, squares included, taken as (I + X)(I + Y) - I = X + Y + XY.
-    A single block is mixer(tau/2) cost(tau) mixer(tau/2).  Each level holds
-    one matrix while the next builds, so a q = 8 step needs about seven.
+    An order-q step is S_o^2 S_m S_o^2 with S_o, S_m order-(q-2) steps at
+    u_(q/2)*tau and (1-4u_(q/2))*tau, the times ``suzuki_coefficients`` uses.
+    Each is built once, and every product, squares included, is taken as
+    (I + X)(I + Y) - I.  Order 2 is mixer(tau/2) cost(tau) mixer(tau/2).
+    Each level holds one matrix while the next builds, so a q = 8 step
+    needs about seven.
     """
-    if len(taus) == 1:
-        tau = taus[0]
+    if q == 2:
         half = (v * np.expm1(-0.5j * alpha * tau * w)) @ vh
         # cost(tau) mixer(tau/2) - I: the cost factor c|e_0><e_0| touches row 0 only
         c = np.expm1(-1j * tau)
         x = half.copy()
         x[0] += c * half[0]
         x[0, 0] += c
-        return _times_plus(half, x)
-    k = len(taus) // 5
-    outer = _recursive_delta(w, v, vh, alpha, taus[:k])
-    outer = _times_plus(outer, outer)
-    middle = _recursive_delta(w, v, vh, alpha, taus[2 * k : 3 * k])
-    return _times_plus(outer, _times_plus(middle, outer))
-
-
-def _times_plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(I + x)(I + y) - I = x + y + xy, written over x (which may be y)."""
-    xy = x @ y
-    x += y
-    x += xy
-    return x
+        return symspace._times_plus(half, x)
+    u = u_coefficient(q // 2)
+    outer = _recursive_delta(w, v, vh, alpha, q - 2, u * tau)
+    outer = symspace._times_plus(outer, outer)
+    middle = _recursive_delta(w, v, vh, alpha, q - 2, (1.0 - 4.0 * u) * tau)
+    return symspace._times_plus(outer, symspace._times_plus(middle, outer))
 
 
 def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
@@ -182,9 +168,10 @@ def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
     and three products per level, 37 for q = 8 where walking its 251 merged
     factors takes 252.
     """
+    _check_order(q)
     _check_steps(r)
     w, v = _mixer_eigensystem(n)
-    return SymOperator.near_identity(n, _recursive_delta(w, v, v.conj().T, ctqw.alpha_star(n), _leaf_times(q, t / r)))
+    return SymOperator.near_identity(n, _recursive_delta(w, v, v.conj().T, ctqw.alpha_star(n), q, t / r))
 
 
 def trotterized_state(n: int, q: int, t: float, r: int) -> SymVector:

@@ -28,6 +28,11 @@ def test_parse_int_range():
     assert cli.parse_int_range("16..24:4") == [16, 20, 24]
     with pytest.raises(ValueError):
         cli.parse_int_range("4..8:0")
+    assert len(cli.parse_int_range("1..80")) == 80
+    # a range wider than [1, 80] is refused before its list is built
+    for text in ("1..81", "1..1000000000000"):
+        with pytest.raises(ValueError):
+            cli.parse_int_range(text)
 
 
 def test_validate_collects_all_violations():
@@ -36,6 +41,21 @@ def test_validate_collects_all_violations():
     assert len(errors) >= 2
     assert any("99" in e for e in errors)
     assert any("epsilon" in e for e in errors)
+
+
+@pytest.mark.parametrize(
+    "n_range, message", [("1..200000", "--n-range"), ("60..100", "20 system size(s) outside supported range [1, 80]: smallest n=81, largest n=100")]
+)
+def test_out_of_range_sizes_make_one_error_line(n_range, message, tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    try:
+        code = cli.main(["analytic-depth", "--n-range", n_range, "--epsilon", "0.1", "--out", str(out)])
+    except SystemExit as stop:
+        code = stop.code
+    assert code == cli.EXIT_USAGE
+    assert not out.exists()
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
 
 
 def test_overlap_trace_schema(tmp_path):

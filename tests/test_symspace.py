@@ -156,6 +156,18 @@ def test_apply_powers_matches_matrix_power(unitary):
         symspace.apply_powers(op, [3, -1], x)
 
 
+def test_powering_leaves_its_operator_untouched():
+    # squaring writes its products over a working matrix, never over the step's delta
+    step = trotter.step_operator(20, 4, ctqw.t_star(20), 64)
+    delta, entries = step.delta.tobytes(), step.entries.tobytes()
+    plus = symspace.plus_state(20).amp
+    runs = [(symspace.apply_powers(step, [5, 1000], plus), symspace.matrix_power(step, 1000)) for _ in range(2)]
+    assert step.delta.tobytes() == delta and step.entries.tobytes() == entries
+    (states, power), (states_again, power_again) = runs
+    assert [y.tobytes() for y in states] == [y.tobytes() for y in states_again]
+    assert power.delta.tobytes() == power_again.delta.tobytes()
+
+
 def test_matrix_power_unitarity_drift():
     u = symspace.evolution_operator(symspace.build_hx(8), 0.7)
     assert symspace.matrix_power(u, 10**6).unitarity_defect() <= 1e-9

@@ -18,9 +18,14 @@ def test_suzuki_order_two():
 
 
 def test_suzuki_rejects_bad_order():
+    # the step build recurses on q, so a bad order must be refused before it starts
     for q in (0, 1, 3, -2):
         with pytest.raises(ValueError):
             trotter.suzuki_coefficients(q, 1.0)
+        with pytest.raises(ValueError):
+            trotter.step_operator(4, q, 1.0, 1)
+        with pytest.raises(ValueError):
+            trotter.trotterized_state(4, q, 1.0, 1)
 
 
 def test_suzuki_order_four_middle_block():
