@@ -57,6 +57,10 @@ class ExperimentConfig:
     workers: int = 0
 
 
+class RangeError(argparse.ArgumentTypeError, ValueError):
+    """A refused range, still a ValueError; argparse shows its text, which it drops for a plain ValueError."""
+
+
 def parse_int_range(text: str) -> list[int]:
     """Parse '12' or '16..32' or '16..32:2' into a list of at most N_MAX - N_MIN + 1 integers."""
     text = text.strip()
@@ -70,10 +74,10 @@ def parse_int_range(text: str) -> list[int]:
     else:
         hi = rest
     if step < 1:
-        raise ValueError(f"range step must be >= 1, got {step}")
+        raise RangeError(f"range step must be >= 1, got {step}")
     sizes = range(int(lo), int(hi) + 1, step)
     if len(sizes) > N_MAX - N_MIN + 1:  # refused before the list is built
-        raise ValueError(f"range holds {len(sizes)} sizes, more than the {N_MAX - N_MIN + 1} in [{N_MIN}, {N_MAX}]")
+        raise RangeError(f"range holds {len(sizes)} sizes, more than the {N_MAX - N_MIN + 1} in [{N_MIN}, {N_MAX}]")
     return list(sizes)
 
 
@@ -422,6 +426,8 @@ def _merge_config_file(args: argparse.Namespace) -> list[str]:
         elif getattr(args, dest) is None:
             try:
                 setattr(args, dest, _config_value(value, types[dest]))
+            except RangeError as err:
+                errors.append(f"config key {key!r}: {err}")
             except ValueError:
                 errors.append(f"config key {key!r}: invalid {types[dest].__name__} value {value!r}")
     return errors

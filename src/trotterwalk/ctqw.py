@@ -4,54 +4,49 @@ The walk Hamiltonian is alpha*H_x + H_0 with H_x the hypercube adjacency
 operator and H_0 the projector onto the target state.  At the resonant
 coupling alpha* the two extremal eigenstates are nearly degenerate and the
 walk rotates |+>^n into the target in time t* = (pi/2)*sqrt(2^n).  This
-module computes the resonance parameters exactly (finite sums in log-space),
-solves the walk by dense diagonalization, and exposes the near-degenerate
-eigenstate pair behind the two-level picture.
+module computes the resonance parameters from exact integer sums rounded
+once, solves the walk by dense diagonalization, and exposes the
+near-degenerate eigenstate pair behind the two-level picture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log, pi, sqrt
+from math import comb, lcm, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from . import symspace
-from .symspace import SymOperator, SymVector
+from .symspace import SymOperator, SymVector, p_weights  # noqa: F401 (p_weights is part of this module's API)
 
 
-def p_weights(n: int) -> np.ndarray:
-    """Binomial distribution P_k = C(n,k)/2^n for k = 0..n, log-domain."""
-    return np.exp(symspace.ln_binom(n) - n * log(2.0))
+def _inverse_moment(n: int, power: int) -> float:
+    """sum_{k>=1} P_k / k^power, summed in exact integers and rounded once."""
+    symspace.check_n(n)
+    den = lcm(*range(1, n + 1)) ** power
+    return sum(comb(n, k) * (den // k**power) for k in range(1, n + 1)) / (den << n)
 
 
 @lru_cache(maxsize=None)
 def alpha_star(n: int) -> float:
-    """Resonant walk coupling (1/2) * sum_{k>=1} P_k / k, cached.
+    """Resonant walk coupling (1/2) * sum_{k>=1} P_k / k, correctly rounded and cached.
 
     Behaves as 1/n + O(1/n^2) for large n.
     """
-    symspace.check_n(n)
-    p = p_weights(n)
-    k = np.arange(1, n + 1, dtype=float)
-    return float(0.5 * np.sum(p[1:] / k))
+    return 0.5 * _inverse_moment(n, 1)
 
 
 def xi(n: int) -> float:
     """Splitting factor (2/sqrt(2^n)) * (sum_{k>=1} P_k/k^2)^(-1/2)."""
-    symspace.check_n(n)
-    p = p_weights(n)
-    k = np.arange(1, n + 1, dtype=float)
-    s = float(np.sum(p[1:] / k**2))
-    return 2.0 * np.exp(-0.5 * n * log(2.0)) / sqrt(s)
+    return 2.0 / sqrt(2.0**n * _inverse_moment(n, 2))  # the factor 2^n is exact
 
 
 def t_star(n: int) -> float:
     """Walk time (pi/2)*sqrt(2^n) at which the target overlap peaks."""
     symspace.check_n(n)
-    return (pi / 2.0) * float(np.exp(0.5 * n * log(2.0)))
+    return (pi / 2.0) * 2.0 ** (0.5 * n)
 
 
 def walk_hamiltonian(n: int, alpha: float) -> SymOperator:
@@ -75,7 +70,7 @@ def gap(n: int) -> GapResult:
     a = alpha_star(n)
     w, _ = symspace.hermitian_eigensystem(walk_hamiltonian(n, a))
     gap_exact = float(w[-1] - w[-2])
-    return GapResult(gap_exact, 2.0 * a * xi(n), 2.0 * np.exp(-0.5 * n * log(2.0)))
+    return GapResult(gap_exact, 2.0 * a * xi(n), 2.0 * 2.0 ** (-0.5 * n))
 
 
 def ctqw_state(n: int, alpha: float, t: float) -> SymVector:

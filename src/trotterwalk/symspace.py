@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lgamma, log, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -24,12 +24,6 @@ MAX_FULL_SPACE_QUBITS = 12
 # |e_0> and "mixer" is alpha times the hypercube adjacency operator
 COST = "cost"
 MIXER = "mixer"
-
-
-def ln_binom(n: int) -> np.ndarray:
-    """Natural logs of the binomial coefficients C(n, k) for k = 0..n."""
-    lg = np.array([lgamma(k + 1.0) for k in range(n + 1)])
-    return lg[n] - lg - lg[::-1]
 
 
 def check_n(n: int) -> None:
@@ -125,16 +119,18 @@ def build_h0(n: int) -> SymOperator:
     return SymOperator(n, m)
 
 
-def plus_state(n: int) -> SymVector:
-    """|+>^(x n) expressed in the Dicke basis: amp_k = sqrt(C(n,k)/2^n).
-
-    The binomial weights are evaluated in log-space so the construction
-    stays accurate for n well past the point where C(n, n/2) overflows
-    naive integer or product evaluation.
-    """
+def p_weights(n: int) -> np.ndarray:
+    """Binomial distribution P_k = C(n,k)/2^n for k = 0..n, each correctly rounded."""
     check_n(n)
-    amp = np.exp(0.5 * (ln_binom(n) - n * log(2.0)))
-    return SymVector(n, amp.astype(complex))
+    return np.array([comb(n, k) / 2**n for k in range(n + 1)])
+
+
+@lru_cache(maxsize=None)
+def plus_state(n: int) -> SymVector:
+    """|+>^(x n) in the Dicke basis, amp_k = sqrt(P_k) correctly rounded; cached, read-only."""
+    amp = np.sqrt(p_weights(n)).astype(complex)
+    amp.flags.writeable = False
+    return SymVector(n, amp)
 
 
 def basis_state(n: int, k: int) -> SymVector:
@@ -313,5 +309,5 @@ def full_space_oracle(n: int, factors, alpha: float) -> SymVector:
     weights = _hamming_weights(n)
     sums = np.zeros(n + 1, dtype=complex)
     np.add.at(sums, weights, psi)
-    amp = sums * np.exp(-0.5 * ln_binom(n))
+    amp = sums / np.sqrt(p_weights(n) * dim)  # P_k 2^n = C(n, k) exactly
     return SymVector(n, amp)

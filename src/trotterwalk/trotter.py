@@ -14,6 +14,7 @@ sequence and the depth-p ansatz coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +103,7 @@ def group_sequence(q: int, r: int, t: float) -> ProductFormula:
     return ProductFormula(q=q, r=int(r), t=t, factors=tuple(factors), stages=stage_count(q))
 
 
+@lru_cache(maxsize=None)
 def _mixer_eigensystem(n: int):
     return symspace.hermitian_eigensystem(symspace.build_hx(n))
 

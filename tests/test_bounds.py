@@ -166,7 +166,7 @@ def test_required_steps_bisects_far_from_its_estimate(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(bounds, "ln_trotter_error_bound", counted)
-    assert bounds.required_steps(80, 2, 0.001) == 2276034248947467419649
+    assert bounds.required_steps(80, 2, 0.001) == 2276034248947483672577
     assert calls <= 200
 
 

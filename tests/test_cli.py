@@ -58,6 +58,25 @@ def test_out_of_range_sizes_make_one_error_line(n_range, message, tmp_path, caps
     assert len(errors) == 1 and message in errors[0]
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_refused_range_keeps_its_reason(source, tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    args = ["analytic-depth", "--epsilon", "0.1", "--out", str(out)]
+    if source == "flag":
+        args += ["--n-range", "1..200000"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_range": "1..200000"}))
+        args += ["--config", str(cfg)]
+    try:
+        code = cli.main(args)
+    except SystemExit as stop:
+        code = stop.code
+    assert code == cli.EXIT_USAGE
+    assert not out.exists()
+    assert "range holds 200000 sizes, more than the 80 in [1, 80]" in capsys.readouterr().err
+
+
 def test_overlap_trace_schema(tmp_path):
     out = tmp_path / "trace.csv"
     code = cli.main(

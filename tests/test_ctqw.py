@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,31 @@ def test_alpha_star_asymptotics():
 def test_p_weights_sum_to_one():
     for n in (1, 12, 68):
         assert abs(ctqw.p_weights(n).sum() - 1.0) < 1e-12
+
+
+def _ulps(value: float, exact) -> float:
+    """|value - exact| in units in the last place of value; exact is a Fraction or a Decimal."""
+    return float(abs(type(exact)(value) - exact) / type(exact)(math.ulp(value)))
+
+
+def test_walk_constants_are_correctly_rounded():
+    # independent values: exact rationals, and 60-digit square roots of them
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for n in range(1, 81):
+            p = ctqw.p_weights(n)
+            amp = symspace.plus_state(n).amp
+            for k in range(n + 1):
+                weight = Fraction(math.comb(n, k), 2**n)
+                assert _ulps(p[k], weight) <= 1, (n, k)
+                root = (Decimal(weight.numerator) / weight.denominator).sqrt()
+                assert amp[k].imag == 0 and _ulps(amp[k].real, root) <= 1, (n, k)
+            alpha = sum(Fraction(math.comb(n, k), k) for k in range(1, n + 1)) / 2 ** (n + 1)
+            assert _ulps(ctqw.alpha_star(n), alpha) <= 1, n
+            moment = sum(Fraction(math.comb(n, k), k * k) for k in range(1, n + 1))  # 2^n sum_k P_k/k^2
+            assert _ulps(ctqw.xi(n), (4 * Decimal(moment.denominator) / moment.numerator).sqrt()) <= 2, n
+            if n % 2 == 0:
+                assert ctqw.t_star(n) / (math.pi / 2) == 2 ** (n // 2), n
 
 
 def test_t_star():

@@ -50,7 +50,7 @@ def test_spectral_error_floor_at_n80():
 def test_gap_drift_at_double_precision_floor():
     # the pair's splitting is 2/sqrt(2^n) against eigenvalues of order 1, so
     # eigh resolves it to about sqrt(2^n) machine epsilons (measured: at most
-    # 0.97 of that, 1.1e-4 at n = 78, 1.5e-5 at n = 80, 2.7e-8 at n = 56);
+    # 0.97 of that, 4.9e-5 at n = 79, 1.5e-5 at n = 80, 2.8e-9 at n = 56);
     # below n = 34 the O(2^-n) error of the formula itself dominates
     for n in range(34, 81):
         g = ctqw.gap(n)
