@@ -41,6 +41,12 @@ BOUND_CHECK_R_EXPONENTS = range(2, 15)
 # ceil(pi / (4 asin 2^(-n/2))), stays under this cap up to n = 40
 GROVER_MAX_ROWS = 10**6
 
+# ExperimentConfig field -> validate's error when no flag or config key sets it
+MISSING = {
+    "ns": "no system size given (use --n or --n-range)",
+    "epsilons": "no error budget given (use --epsilon or --epsilon-list)",
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -127,12 +133,12 @@ def validate(config: ExperimentConfig) -> list[str]:
         errors.append(f"unknown experiment {config.experiment!r}")
     settings = spec.settings if spec else ()
     if not config.ns:
-        errors.append("no system size given (use --n or --n-range)")
+        errors.append(MISSING["ns"])
     outside = [n for n in config.ns if not N_MIN <= n <= N_MAX]
     if outside:
         errors.append(f"{len(outside)} system size(s) outside supported range [{N_MIN}, {N_MAX}]: smallest n={min(outside)}, largest n={max(outside)}")
     if "epsilons" in settings and not config.epsilons:
-        errors.append("no error budget given (use --epsilon or --epsilon-list)")
+        errors.append(MISSING["epsilons"])
     for eps in config.epsilons:
         if not 0.0 < eps < 1.0:
             errors.append(f"epsilon={eps} outside (0, 1)")
@@ -261,17 +267,19 @@ def run_analytic_depth(config: ExperimentConfig):
     return header, rows, {"epsilon_role": "spectral"}, []
 
 
-def _ratio_sweep_cell(args):
-    n, eps, orders, iterations = args
-    record, failures = depthsearch.sweep_cell(n, eps, orders, iterations)
-    return n, eps, record, failures
+def _ratio_sweep_size(args):
+    n, epsilons, orders, iterations = args
+    return [(n, eps, *cell) for eps, cell in zip(epsilons, depthsearch.sweep_cells(n, epsilons, orders, iterations))]
 
 
 def run_ratio_sweep(config: ExperimentConfig):
-    cells = [(n, eps, tuple(config.orders), config.iterations) for n, eps in _grid(config)]
-    results = _map_cells(_ratio_sweep_cell, cells, config.workers)
+    # one task per size, largest first so the longest tasks leave no tail;
+    # reversed, the results are in (n, epsilon) order
+    epsilons = sorted(set(config.epsilons))
+    tasks = [(n, epsilons, tuple(config.orders), config.iterations) for n in sorted(set(config.ns), reverse=True)]
+    results = _map_cells(_ratio_sweep_size, tasks, config.workers)
     rows, errors = [], []
-    for n, eps, record, failures in results:
+    for n, eps, record, failures in (cell for size in reversed(results) for cell in size):
         for failure in failures:
             errors.append(asdict(failure))
         if record is None:
@@ -405,32 +413,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config_file(args: argparse.Namespace) -> list[str]:
+def _merge_config_file(args: argparse.Namespace) -> tuple[list[str], set[str]]:
+    """Fill the flags not given from ``args.config``; returns the errors and
+    the ExperimentConfig fields whose config key failed (all of them when
+    the file itself fails)."""
     if args.config is None:
-        return []
+        return [], set()
+    every = {setting for setting, _ in FLAGS.values()}
     try:
         with open(args.config) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        return [f"cannot read config file {args.config}: {err}"]
+        return [f"cannot read config file {args.config}: {err}"], every
     if not isinstance(data, dict):
-        return [f"config file {args.config} must hold a JSON object, got {type(data).__name__}"]
-    errors = []
+        return [f"config file {args.config} must hold a JSON object, got {type(data).__name__}"], every
+    errors, failed = [], set()
     # every flag of this subcommand but --config itself may come from the file
     keys = set(vars(args)) - {"experiment", "config"}
-    types = {flag[2:].replace("-", "_"): kwargs.get("type", str) for flag, (_, kwargs) in FLAGS.items()}
+    flags = {flag[2:].replace("-", "_"): (setting, kwargs.get("type", str)) for flag, (setting, kwargs) in FLAGS.items()}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in keys:
             errors.append(f"unknown config key {key!r}")
         elif getattr(args, dest) is None:
+            setting, convert = flags[dest]
             try:
-                setattr(args, dest, _config_value(value, types[dest]))
-            except RangeError as err:
-                errors.append(f"config key {key!r}: {err}")
-            except ValueError:
-                errors.append(f"config key {key!r}: invalid {types[dest].__name__} value {value!r}")
-    return errors
+                setattr(args, dest, _config_value(value, convert))
+            except ValueError as err:
+                reason = err if isinstance(err, RangeError) else f"invalid {convert.__name__} value {value!r}"
+                errors.append(f"config key {key!r}: {reason}")
+                failed.add(setting)
+    return errors, failed
 
 
 def _config_value(value, convert):
@@ -447,8 +460,8 @@ def _config_value(value, convert):
     return convert(json.dumps(value))
 
 
-def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str]]:
-    errors = _merge_config_file(args)
+def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str], set[str]]:
+    errors, failed = _merge_config_file(args)
     config = ExperimentConfig(experiment=args.experiment)
     for flag, (setting, _) in FLAGS.items():
         # None: not given, or not a flag of this subcommand
@@ -459,15 +472,17 @@ def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[
             getattr(config, setting).extend(value if isinstance(value, list) else [value])
         else:
             setattr(config, setting, value)
-    return config, errors
+    return config, errors, failed
 
 
 def main(argv=None) -> int:
     args, unread = build_parser().parse_known_args(argv)
-    config, errors = _config_from_args(args)
+    config, errors, failed = _config_from_args(args)
     if unread:
         errors.append(f"{args.experiment} does not take: {' '.join(unread)}")
-    errors.extend(validate(config))
+    # a setting whose config key failed has its error already; it is not reported missing too
+    reported = {MISSING.get(setting) for setting in failed}
+    errors.extend(err for err in validate(config) if err not in reported)
     if errors:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)

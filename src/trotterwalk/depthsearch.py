@@ -84,7 +84,7 @@ def numeric_optimal_depth(
     d -> 2d - 1 and otherwise keeps d -> 2d, the step count already
     accepted.  The returned depth is r * 5^(q/2-1) at the final step count.
     """
-    search = _depth_search(n, q, epsilon_overlap, refinement_iterations, d_cap)
+    search = _depth_search(n, q, epsilon_overlap, refinement_iterations, d_cap, {})
     try:
         while True:
             next(search)
@@ -93,13 +93,16 @@ def numeric_optimal_depth(
 
 
 def _depth_search(
-    n: int, q: int, epsilon_overlap: float, refinement_iterations: int, d_cap: int
+    n: int, q: int, epsilon_overlap: float, refinement_iterations: int, d_cap: int, overlaps: dict[int, float]
 ) -> Generator[int, None, DepthSearchResult]:
     """The search of ``numeric_optimal_depth``, one rejected step count at a time.
 
     After each rejected step count r, except the last d of the level-0
     scan, it yields stages(q) * (r + 1): no depth it can still return is
     smaller.  It returns the DepthSearchResult or raises DepthSearchError.
+    ``overlaps`` maps step counts to target overlaps at this (n, q); the
+    search reads it and adds what it evaluates, so searches at other
+    budgets that share it evaluate each step count once.
     """
     trotter._check_order(q)
     if not 0.0 < epsilon_overlap < 1.0:
@@ -111,13 +114,14 @@ def _depth_search(
     stages = trotter.stage_count(q)
     threshold = reference_overlap(n) - epsilon_overlap
     ts = ctqw.t_star(n)
-    cache: dict[int, float] = {}
+    used: dict[int, float] = {}  # the step counts this search read, and their overlaps
 
     def overlap_at(r: int) -> float:
-        hit = cache.get(r)
+        hit = overlaps.get(r)
         if hit is None:
             state = trotter.trotterized_state(n, q, ts, r)
-            cache[r] = hit = float(abs(state.amp[0]) ** 2)
+            overlaps[r] = hit = float(abs(state.amp[0]) ** 2)
+        used[r] = hit
         return hit
 
     # phase 1: scan d = 1..1+d_cap at level 0
@@ -127,12 +131,12 @@ def _depth_search(
             break
         # Every step count still reachable exceeds r: later d give larger r,
         # later levels refine an accepted d' > d to no less than
-        # (d' - 1) * 2^(n/2), and a rejected r stays rejected in the cache.
+        # (d' - 1) * 2^(n/2), and a rejected r stays rejected.
         # The last d yields nothing, so an exhausted scan raises at once.
         if d <= d_cap:
             yield stages * (r + 1)
     else:
-        raise DepthSearchError(n, q, epsilon_overlap, 0, d_cap + 1, max(cache.values()), threshold)
+        raise DepthSearchError(n, q, epsilon_overlap, 0, d_cap + 1, max(used.values()), threshold)
     # phase 2: probe 2d - 1 once; 2d repeats the step count accepted one level up
     for level in range(1, refinement_iterations):
         r = _steps_at(n, 2 * d - 1, level)
@@ -153,7 +157,7 @@ def _depth_search(
         level=level,
         overlap=overlap_at(r_final),
         reference=reference_overlap(n),
-        evaluations=len(cache),
+        evaluations=len(used),
     )
 
 
@@ -230,9 +234,35 @@ def sweep_cell(
     have failed later in that scan, where the bound exceeds the best depth
     too.  The record is None if every order failed.
     """
+    return sweep_cells(n, [epsilon], orders, refinement_iterations, d_cap)[0]
+
+
+def sweep_cells(
+    n: int,
+    epsilons,
+    orders=SWEEP_ORDERS,
+    refinement_iterations: int = DEFAULT_ITERATIONS,
+    d_cap: int = DEFAULT_D_CAP,
+) -> list[tuple[SweepRecord | None, list[CellFailure]]]:
+    """``sweep_cell`` at one size for each budget in ``epsilons``, in that order.
+
+    The searches of one order share their overlaps: a step count r gives
+    the same overlap at every budget, and only the threshold it is compared
+    with changes, so each (q, r) is evaluated once per call.
+    """
     if not orders:
         raise ValueError("orders must be non-empty")
-    searches = [_depth_search(n, q, epsilon, refinement_iterations, d_cap) for q in orders]
+    overlaps: list[dict[int, float]] = [{} for _ in orders]
+    return [_best_first(n, eps, orders, refinement_iterations, d_cap, overlaps) for eps in epsilons]
+
+
+def _best_first(
+    n: int, epsilon: float, orders, refinement_iterations: int, d_cap: int, overlaps: list[dict[int, float]]
+) -> tuple[SweepRecord | None, list[CellFailure]]:
+    """The best-first search of ``sweep_cell``; ``overlaps[rank]`` holds the overlaps of ``orders[rank]``."""
+    searches = [
+        _depth_search(n, q, epsilon, refinement_iterations, d_cap, overlaps[rank]) for rank, q in enumerate(orders)
+    ]
     heap = [(trotter.stage_count(q), rank) for rank, q in enumerate(orders)]
     heapq.heapify(heap)
     failures: list[tuple[int, CellFailure, float]] = []
@@ -270,16 +300,15 @@ def sweep_cell(
 def ratio_sweep(n_list, epsilon_list, orders=SWEEP_ORDERS) -> tuple[list[SweepRecord], list[CellFailure]]:
     """Cell-by-cell depth comparison over a grid of sizes and budgets.
 
-    Per-cell failures are collected, not raised; output ordering is by
-    (n, epsilon) regardless of evaluation order.
+    Each size runs through ``sweep_cells``.  Per-cell failures are
+    collected, not raised; output ordering is by (n, epsilon).
     """
     if not n_list or not epsilon_list:
         raise ValueError("n_list and epsilon_list must be non-empty")
     records: list[SweepRecord] = []
     failures: list[CellFailure] = []
     for n in sorted(set(n_list)):
-        for eps in sorted(set(epsilon_list)):
-            record, cell_failures = sweep_cell(n, eps, orders)
+        for record, cell_failures in sweep_cells(n, sorted(set(epsilon_list)), orders):
             failures.extend(cell_failures)
             if record is not None:
                 records.append(record)

@@ -77,6 +77,27 @@ def test_refused_range_keeps_its_reason(source, tmp_path, capsys):
     assert "range holds 200000 sizes, more than the 80 in [1, 80]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n_range": "1..200000", "epsilon": 0.1}', "config key 'n_range': range holds 200000 sizes"),
+        ('{"n_range": "1..x", "epsilon": 0.1}', "config key 'n_range': invalid parse_int_range value '1..x'"),
+        ('{"n": 10, "epsilon_list": "0.1,x"}', "config key 'epsilon_list': invalid parse_float_list value '0.1,x'"),
+        ('{"n": 10', "cannot read config file"),
+        ("[10, 0.1]", "must hold a JSON object, got list"),
+    ],
+    ids=["range-too-wide", "range-malformed", "budgets-malformed", "not-json", "not-an-object"],
+)
+def test_failed_config_key_is_not_also_missing(text, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "a.csv"
+    assert cli.main(["analytic-depth", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    assert not out.exists()
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
 def test_overlap_trace_schema(tmp_path):
     out = tmp_path / "trace.csv"
     code = cli.main(

@@ -279,3 +279,22 @@ def test_sweep_cell_best_first_stops_losing_orders_early(monkeypatch):
 def test_sweep_cell_rejects_empty_orders():
     with pytest.raises(ValueError, match="orders must be non-empty"):
         depthsearch.sweep_cell(10, 0.05, orders=())
+
+
+def test_sweep_cells_evaluates_each_step_count_once(monkeypatch):
+    # a step count gives the same overlap at every budget; only the
+    # threshold changes, so the budgets of one size share their evaluations
+    calls = []
+    original = trotter.trotterized_state
+
+    def counting(n, q, t, r):
+        calls.append((q, r))
+        return original(n, q, t, r)
+
+    monkeypatch.setattr(trotter, "trotterized_state", counting)
+    single = [depthsearch.sweep_cell(24, eps) for eps in (0.1, 0.01)]
+    used = set(calls)
+    assert len(calls) > len(used)  # the cells repeat each other's step counts
+    calls.clear()
+    assert depthsearch.sweep_cells(24, [0.1, 0.01]) == single
+    assert sorted(calls) == sorted(used)

@@ -2,7 +2,8 @@
 
 Each command is run through ``cli.main``, with one worker where the
 experiment takes ``--workers``, and its CSV is compared with the copy under
-``tests/golden/``.  The header and every integer or boolean column must be
+``tests/golden/``.  The ratio-sweep command also runs with two workers,
+through the process pool, against the same golden CSV.  The header and every integer or boolean column must be
 byte-identical and the ``#`` line must match once the library version is
 removed.  A column is a float column when
 any golden cell in it has a '.', an exponent, 'inf' or 'nan'; its values
@@ -35,11 +36,12 @@ COMMANDS = {
     "bound-check": ["--n-range", "4..10:2"],
     "overlap-trace": ["--n", "20", "--epsilon", "0.01"],
 }
+RATIO_SWEEP_POOL = ["--n-range", "16..24:2", "--epsilon-list", "0.1,0.01", "--workers", "2"]
 
 
-def generate(experiment: str, out: Path) -> list[str]:
-    """Run one golden command, writing its CSV to ``out``; returns the CSV's lines."""
-    code = cli.main([experiment, *COMMANDS[experiment], "--out", str(out)])
+def generate(experiment: str, out: Path, args: list[str] | None = None) -> list[str]:
+    """Run one golden command (or ``args`` instead), writing its CSV to ``out``; returns the CSV's lines."""
+    code = cli.main([experiment, *(COMMANDS[experiment] if args is None else args), "--out", str(out)])
     assert code == cli.EXIT_OK, f"{experiment} exited with {code}"
     return out.read_text().splitlines()
 
@@ -48,10 +50,8 @@ def _is_float_cell(cell: str) -> bool:
     return any(mark in cell.lower() for mark in (".", "e", "inf", "nan"))
 
 
-@pytest.mark.parametrize("experiment", sorted(COMMANDS))
-def test_cli_output_matches_golden(experiment, tmp_path):
+def assert_matches_golden(experiment: str, fresh: list[str]) -> None:
     golden = (GOLDEN / f"{experiment}.csv").read_text().splitlines()
-    fresh = generate(experiment, tmp_path / f"{experiment}.csv")
     assert fresh[0].replace(__version__, "") == golden[0].replace(__version__, "")
     assert fresh[1] == golden[1], "header"
     assert len(fresh) == len(golden), "row count"
@@ -66,6 +66,15 @@ def test_cli_output_matches_golden(experiment, tmp_path):
         for row, (g, v) in enumerate(zip(gold_col, new_col)):
             g, v = float(g), float(v)
             assert abs(v - g) <= REL_TOL * abs(g) + ABS_TOL, f"{experiment}: {name} row {row}: {v!r} vs golden {g!r}"
+
+
+@pytest.mark.parametrize("experiment", sorted(COMMANDS))
+def test_cli_output_matches_golden(experiment, tmp_path):
+    assert_matches_golden(experiment, generate(experiment, tmp_path / f"{experiment}.csv"))
+
+
+def test_ratio_sweep_through_the_pool_matches_golden(tmp_path):
+    assert_matches_golden("ratio-sweep", generate("ratio-sweep", tmp_path / "ratio-sweep.csv", RATIO_SWEEP_POOL))
 
 
 if __name__ == "__main__":
