@@ -60,8 +60,8 @@ def delta_exact(n: int, q: int) -> float:
         raise ValueError(f"order must be an integer >= 1, got {q!r}")
     if q > 4:
         raise ValueError(f"exact commutator sum limited to q <= 4, got {q}")
-    h1 = -1j * symspace.build_h0(n).entries
-    h2 = -1j * ctqw.alpha_star(n) * symspace.build_hx(n).entries
+    h1 = -1j * symspace.build_h0(n)
+    h2 = -1j * ctqw.alpha_star(n) * symspace.build_hx(n)
     gens = (h1, h2)
     total = 0.0
     for seq in product((0, 1), repeat=q + 1):
@@ -207,11 +207,13 @@ def spectral_error(n: int, q: int, t: float, r: int) -> float:
 
     Global-phase sensitive by construction, matching the bound's norm.  The
     difference is formed as (U - I) - (S^r - I), from both operators' exact
-    deltas.  Both are accurate only to a few t * machine epsilon (the phases
-    w*t and the r-fold product round at that level), so the measurement has
-    a floor that grows like 2^(n/2): 1.6e-3 to 2.0e-3 at n = 80, where
-    t* = 1.7e12, and about 5e-4 at n = 76.
+    deltas; U - I = V diag(expm1(-i w t)) V^dag keeps its relative precision
+    however small w t is.  Both are accurate only to a few t * machine
+    epsilon (the phases w*t and the r-fold product round at that level), so
+    the measurement has a floor that grows like 2^(n/2): 1.6e-3 to 2.0e-3 at
+    n = 80, where t* = 1.7e12, and about 5e-4 at n = 76.
     """
-    u = symspace.evolution_operator(ctqw.walk_hamiltonian(n, ctqw.alpha_star(n)), t)
+    w, v = ctqw.walk_eigensystem(n, ctqw.alpha_star(n))
+    u_delta = (v * np.expm1(-1j * w * t)) @ v.conj().T
     s = symspace.matrix_power(trotter.step_operator(n, q, t, r), r)
-    return float(np.linalg.svd(u.delta - s.delta, compute_uv=False)[0])
+    return float(np.linalg.svd(u_delta - s.delta, compute_uv=False)[0])

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import symspace
-from .symspace import SymOperator, SymVector, p_weights  # noqa: F401 (p_weights is part of this module's API)
+from .symspace import SymVector
 
 
 def _inverse_moment(n: int, power: int) -> float:
@@ -49,10 +49,14 @@ def t_star(n: int) -> float:
     return (pi / 2.0) * 2.0 ** (0.5 * n)
 
 
-def walk_hamiltonian(n: int, alpha: float) -> SymOperator:
-    """alpha*H_x + H_0 in the symmetric subspace."""
-    h = alpha * symspace.build_hx(n).entries + symspace.build_h0(n).entries
-    return SymOperator(n, h)
+# one Hamiltonian serves many times t, so its eigensystem is cached; the
+# arrays handed out are read-only, so no caller can alter what later calls receive
+@lru_cache(maxsize=256)
+def walk_eigensystem(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of alpha*H_x + H_0, cached and read-only."""
+    w, v = np.linalg.eigh(alpha * symspace.build_hx(n) + symspace.build_h0(n))
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 class GapResult(NamedTuple):
@@ -68,7 +72,7 @@ def gap(n: int) -> GapResult:
     (accurate to O(2^-n) relative), gap_asymptotic is the leading 2/sqrt(2^n).
     """
     a = alpha_star(n)
-    w, _ = symspace.hermitian_eigensystem(walk_hamiltonian(n, a))
+    w, _ = walk_eigensystem(n, a)
     gap_exact = float(w[-1] - w[-2])
     return GapResult(gap_exact, 2.0 * a * xi(n), 2.0 * 2.0 ** (-0.5 * n))
 
@@ -77,7 +81,8 @@ def ctqw_state(n: int, alpha: float, t: float) -> SymVector:
     """State exp(-i(alpha*H_x + H_0)t)|+>^n, solved by diagonalization."""
     if t < 0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
-    return symspace.evolve(walk_hamiltonian(n, alpha), t, symspace.plus_state(n))
+    w, v = walk_eigensystem(n, alpha)
+    return SymVector(n, v @ (np.exp(-1j * w * t) * (v.conj().T @ symspace.plus_state(n).amp)))
 
 
 def ctqw_overlap(n: int, alpha: float, t: float) -> float:
@@ -104,7 +109,7 @@ def low_eigenstates(n: int) -> EigenPair:
     if n < 2:
         raise ValueError(f"eigenstate pair needs n >= 2, got {n}")
     a = alpha_star(n)
-    w, v = symspace.hermitian_eigensystem(walk_hamiltonian(n, a))
+    w, v = walk_eigensystem(n, a)
     if w[-1] - w[-2] < 1e-13:
         raise ValueError(f"extremal pair is degenerate to {w[-1] - w[-2]:.3e}; phases undefined")
     plus = symspace.plus_state(n).amp

@@ -4,20 +4,16 @@ An n-qubit state that is invariant under qubit permutations lives in the
 (n+1)-dimensional span of the Dicke states |e_k>, the uniform superpositions
 of all bit strings of Hamming weight k.  Everything in this package evolves
 inside that subspace, so states are length-(n+1) complex vectors and
-operators are dense (n+1)x(n+1) matrices.  A brute-force simulator in the
-full 2^n-dimensional space is included for cross-checking at small n.
+operators are dense (n+1)x(n+1) matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, sqrt
+from math import comb
 
 import numpy as np
-
-HERMITIAN_TOL = 1e-10
-MAX_FULL_SPACE_QUBITS = 12
 
 # generator tags used in exponent-factor lists: a factor (tag, tau) stands for
 # exp(-i*tau*H_tag), where "cost" is the projector onto the target Dicke state
@@ -51,27 +47,23 @@ class SymVector:
 
 @dataclass(frozen=True, eq=False)
 class SymOperator:
-    """Dense complex operator on the symmetric subspace.
+    """Dense complex operator near the identity on the symmetric subspace.
 
-    ``delta``, when given, is the exact difference ``entries - I``.  Operators
-    close to the identity (Trotter steps and their powers) carry it because
-    rounding ``I + delta`` to ``entries`` loses the digits of delta below
-    machine epsilon, which repeated squaring would amplify.  Build them with
-    ``near_identity``.
+    ``delta`` is the exact difference ``entries - I``.  The operators here
+    (Trotter steps and their powers) carry it because rounding ``I + delta``
+    to ``entries`` loses the digits of delta below machine epsilon, which
+    repeated squaring would amplify.  Build them with ``near_identity``.
     """
 
     n: int
     entries: np.ndarray
-    delta: np.ndarray | None = None
+    delta: np.ndarray
 
     def __post_init__(self):
         check_n(self.n)
         shape = (self.n + 1, self.n + 1)
         for name in ("entries", "delta"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            value = np.asarray(value, dtype=complex)
+            value = np.asarray(getattr(self, name), dtype=complex)
             if value.shape != shape:
                 raise ValueError(f"operator must be (n+1)x(n+1)={self.n + 1}x{self.n + 1}, got shape {value.shape}")
             object.__setattr__(self, name, value)
@@ -81,13 +73,9 @@ class SymOperator:
         """The operator I + delta, keeping delta exact."""
         return cls(n, np.eye(n + 1) + delta, delta)
 
-    def minus_identity(self) -> np.ndarray:
-        """entries - I, exact when the operator carries its delta."""
-        return self.entries - np.eye(self.n + 1) if self.delta is None else self.delta
-
     def unitarity_defect(self) -> float:
         """Max-norm of U^dag U - I; zero for an exactly unitary operator."""
-        return float(np.max(np.abs(_gram_defect(self.minus_identity()))))
+        return float(np.max(np.abs(_gram_defect(self.delta))))
 
     @cached_property
     def is_unitary(self) -> bool:
@@ -95,7 +83,7 @@ class SymOperator:
         return self.unitarity_defect() <= 1e-12
 
 
-def build_hx(n: int) -> SymOperator:
+def build_hx(n: int) -> np.ndarray:
     """Hypercube adjacency operator restricted to the symmetric subspace.
 
     Tridiagonal with zero diagonal and off-diagonal elements
@@ -108,15 +96,15 @@ def build_hx(n: int) -> SymOperator:
     m = np.zeros((n + 1, n + 1), dtype=complex)
     m[np.arange(n), np.arange(1, n + 1)] = off
     m[np.arange(1, n + 1), np.arange(n)] = off
-    return SymOperator(n, m)
+    return m
 
 
-def build_h0(n: int) -> SymOperator:
+def build_h0(n: int) -> np.ndarray:
     """Rank-1 projector onto the target Dicke state |e_0> = |0...0>."""
     check_n(n)
     m = np.zeros((n + 1, n + 1), dtype=complex)
     m[0, 0] = 1.0
-    return SymOperator(n, m)
+    return m
 
 
 def p_weights(n: int) -> np.ndarray:
@@ -131,53 +119,6 @@ def plus_state(n: int) -> SymVector:
     amp = np.sqrt(p_weights(n)).astype(complex)
     amp.flags.writeable = False
     return SymVector(n, amp)
-
-
-def basis_state(n: int, k: int) -> SymVector:
-    """The Dicke basis vector |e_k>."""
-    check_n(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"basis index must satisfy 0 <= k <= n, got {k}")
-    amp = np.zeros(n + 1, dtype=complex)
-    amp[k] = 1.0
-    return SymVector(n, amp)
-
-
-# eigendecompositions are reused heavily (one Hamiltonian, many times t),
-# so keep a bounded cache keyed by the matrix bytes; the arrays handed out
-# are read-only, so no caller can alter what later calls receive
-@lru_cache(maxsize=256)
-def _cached_eigh(key: bytes, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(np.frombuffer(key, dtype=complex).reshape(dim, dim))
-    w.flags.writeable = v.flags.writeable = False
-    return w, v
-
-
-def hermitian_eigensystem(h: SymOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian operator, cached and read-only."""
-    defect = float(np.max(np.abs(h.entries - h.entries.conj().T)))
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"operator is not Hermitian: max |H - H^dag| = {defect:.3e}")
-    return _cached_eigh(h.entries.tobytes(), h.n + 1)
-
-
-def evolution_operator(h: SymOperator, t: float) -> SymOperator:
-    """exp(-i h t) via full Hermitian eigendecomposition, with its exact delta.
-
-    The delta V diag(expm1(-i w t)) V^dag keeps its relative precision
-    however small w t is.
-    """
-    w, v = hermitian_eigensystem(h)
-    return SymOperator.near_identity(h.n, (v * np.expm1(-1j * w * t)) @ v.conj().T)
-
-
-def evolve(h: SymOperator, t: float, v: SymVector) -> SymVector:
-    """Apply exp(-i h t) to a state; h must be Hermitian."""
-    if h.n != v.n:
-        raise ValueError(f"dimension mismatch: operator n={h.n}, state n={v.n}")
-    w, vec = hermitian_eigensystem(h)
-    amp = vec @ (np.exp(-1j * w * t) * (vec.conj().T @ v.amp))
-    return SymVector(v.n, amp)
 
 
 def _times_plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -235,7 +176,7 @@ def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
             raise ValueError(f"step count must be a non-negative integer, got {m!r}")
     steps = [int(m) for m in steps]
     out = [x] * len(steps)
-    e = u.minus_identity().copy()  # squares are written over e, never over u's delta
+    e = u.delta.copy()  # squares are written over e, never over u's delta
     for k in range(max(steps, default=0).bit_length()):
         if k:
             e = _times_plus(e, e)
@@ -266,48 +207,3 @@ def overlap(a: SymVector, b: SymVector) -> float:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     return float(abs(np.vdot(a.amp, b.amp)) ** 2)
-
-
-def _hamming_weights(n: int) -> np.ndarray:
-    idx = np.arange(2**n, dtype=np.uint32)
-    w = np.zeros(2**n, dtype=np.int64)
-    for bit in range(n):
-        w += (idx >> bit) & 1
-    return w
-
-
-def full_space_oracle(n: int, factors, alpha: float) -> SymVector:
-    """Brute-force check: run an exponent-factor sequence in the full space.
-
-    Starts from |+>^(x n) in the 2^n-dimensional Hilbert space, applies each
-    (tag, tau) factor as exp(-i*tau*H_tag) with the mixer coupling alpha, and
-    projects the result back onto the Dicke basis.  Only intended for tests;
-    n is capped to keep the cost bounded.
-    """
-    check_n(n)
-    if n > MAX_FULL_SPACE_QUBITS:
-        raise ValueError(f"full-space oracle capped at n <= {MAX_FULL_SPACE_QUBITS}, got {n}")
-    dim = 2**n
-    psi = np.full(dim, 1.0 / sqrt(dim), dtype=complex)
-    for tag, tau in factors:
-        if tag == COST:
-            # target projector |0...0><0...0|: phase on index 0 only
-            psi[0] *= np.exp(-1j * tau)
-        elif tag == MIXER:
-            # sum of single-qubit X rotations; the terms commute
-            theta = alpha * tau
-            c, s = np.cos(theta), np.sin(theta)
-            psi = psi.reshape((2,) * n)
-            for axis in range(n):
-                lo = np.take(psi, 0, axis=axis)
-                hi = np.take(psi, 1, axis=axis)
-                new = np.stack((c * lo - 1j * s * hi, c * hi - 1j * s * lo), axis=axis)
-                psi = new
-            psi = psi.reshape(dim)
-        else:
-            raise ValueError(f"unknown generator tag {tag!r}")
-    weights = _hamming_weights(n)
-    sums = np.zeros(n + 1, dtype=complex)
-    np.add.at(sums, weights, psi)
-    amp = sums / np.sqrt(p_weights(n) * dim)  # P_k 2^n = C(n, k) exactly
-    return SymVector(n, amp)

@@ -104,8 +104,11 @@ def group_sequence(q: int, r: int, t: float) -> ProductFormula:
 
 
 @lru_cache(maxsize=None)
-def _mixer_eigensystem(n: int):
-    return symspace.hermitian_eigensystem(symspace.build_hx(n))
+def _mixer_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of H_x, cached and read-only."""
+    w, v = np.linalg.eigh(symspace.build_hx(n))
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 def apply_factors(n: int, factors: Sequence[Factor], alpha: float) -> SymVector:

@@ -1,0 +1,69 @@
+"""Reference code the tests check the library against.
+
+A brute-force simulator in the full 2^n-dimensional space, for
+cross-checking the symmetric-subspace evolution at small n, and the Dicke
+basis vectors.
+"""
+
+from math import sqrt
+
+import numpy as np
+
+from trotterwalk.symspace import COST, MIXER, SymVector, check_n, p_weights
+
+MAX_FULL_SPACE_QUBITS = 12
+
+
+def basis_state(n: int, k: int) -> SymVector:
+    """The Dicke basis vector |e_k>."""
+    check_n(n)
+    if not 0 <= k <= n:
+        raise ValueError(f"basis index must satisfy 0 <= k <= n, got {k}")
+    amp = np.zeros(n + 1, dtype=complex)
+    amp[k] = 1.0
+    return SymVector(n, amp)
+
+
+def _hamming_weights(n: int) -> np.ndarray:
+    idx = np.arange(2**n, dtype=np.uint32)
+    w = np.zeros(2**n, dtype=np.int64)
+    for bit in range(n):
+        w += (idx >> bit) & 1
+    return w
+
+
+def full_space_oracle(n: int, factors, alpha: float) -> SymVector:
+    """Brute-force check: run an exponent-factor sequence in the full space.
+
+    Starts from |+>^(x n) in the 2^n-dimensional Hilbert space, applies each
+    (tag, tau) factor as exp(-i*tau*H_tag) with the mixer coupling alpha, and
+    projects the result back onto the Dicke basis.  n is capped to keep the
+    cost bounded.
+    """
+    check_n(n)
+    if n > MAX_FULL_SPACE_QUBITS:
+        raise ValueError(f"full-space oracle capped at n <= {MAX_FULL_SPACE_QUBITS}, got {n}")
+    dim = 2**n
+    psi = np.full(dim, 1.0 / sqrt(dim), dtype=complex)
+    for tag, tau in factors:
+        if tag == COST:
+            # target projector |0...0><0...0|: phase on index 0 only
+            psi[0] *= np.exp(-1j * tau)
+        elif tag == MIXER:
+            # sum of single-qubit X rotations; the terms commute
+            theta = alpha * tau
+            c, s = np.cos(theta), np.sin(theta)
+            psi = psi.reshape((2,) * n)
+            for axis in range(n):
+                lo = np.take(psi, 0, axis=axis)
+                hi = np.take(psi, 1, axis=axis)
+                new = np.stack((c * lo - 1j * s * hi, c * hi - 1j * s * lo), axis=axis)
+                psi = new
+            psi = psi.reshape(dim)
+        else:
+            raise ValueError(f"unknown generator tag {tag!r}")
+    weights = _hamming_weights(n)
+    sums = np.zeros(n + 1, dtype=complex)
+    np.add.at(sums, weights, psi)
+    amp = sums / np.sqrt(p_weights(n) * dim)  # P_k 2^n = C(n, k) exactly
+    return SymVector(n, amp)

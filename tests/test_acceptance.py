@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import full_space_oracle
 from trotterwalk import bounds, ctqw, depthsearch, symspace, trotter
 
 
@@ -89,7 +90,7 @@ def test_criterion_05_full_space_oracle_equivalence():
             r = int(rng.integers(1, 33))
             t = float(rng.uniform(0.05, 1.0)) * ctqw.t_star(n)
             factors = trotter.group_sequence(q, r, t).factors
-            full = symspace.full_space_oracle(n, factors, alpha)
+            full = full_space_oracle(n, factors, alpha)
             sub = trotter.trotterized_state(n, q, t, r)
             worst = max(worst, float(np.max(np.abs(full.amp - sub.amp))))
     report(5, worst <= 1e-10, f"80 randomized cases, max amplitude diff {worst:.2e}")
@@ -102,8 +103,8 @@ def test_criterion_06_commutator_sum_ordering_and_lemmas():
     rng = np.random.default_rng(99)
     lemmas_ok = True
     for n in (4, 8, 16):
-        h1 = symspace.build_h0(n).entries
-        h2 = ctqw.alpha_star(n) * symspace.build_hx(n).entries
+        h1 = symspace.build_h0(n)
+        h2 = ctqw.alpha_star(n) * symspace.build_hx(n)
         mixer_bound = 2 * ctqw.alpha_star(n) * (n + 1)
         for _ in range(500):
             a = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))

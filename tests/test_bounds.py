@@ -24,8 +24,8 @@ def test_delta_bound_guards_and_monotonicity():
 def test_delta_exact_first_order():
     # q=1: only the two mixed sequences survive, each |[H1, H2]|
     n = 5
-    h1 = -1j * symspace.build_h0(n).entries
-    h2 = -1j * ctqw.alpha_star(n) * symspace.build_hx(n).entries
+    h1 = -1j * symspace.build_h0(n)
+    h2 = -1j * ctqw.alpha_star(n) * symspace.build_hx(n)
     comm = np.linalg.norm(h2 @ h1 - h1 @ h2, 2)
     assert bounds.delta_exact(n, 1) == pytest.approx(2 * comm, rel=1e-12)
 
@@ -180,8 +180,8 @@ def test_spectral_error_limits():
 def test_max_norm_lemmas():
     rng = np.random.default_rng(123)
     for n in (4, 8):
-        h1 = symspace.build_h0(n).entries
-        h2 = ctqw.alpha_star(n) * symspace.build_hx(n).entries
+        h1 = symspace.build_h0(n)
+        h2 = ctqw.alpha_star(n) * symspace.build_hx(n)
         bound2 = 2 * ctqw.alpha_star(n) * (n + 1)
         for _ in range(100):
             a = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))

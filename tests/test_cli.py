@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from trotterwalk import cli, depthsearch, symspace
+from oracle import basis_state
+from trotterwalk import cli, depthsearch
 
 
 def read_csv(path):
@@ -315,7 +316,7 @@ def test_partial_failure_exit_code(tmp_path, monkeypatch):
     # a state with no target amplitude is rejected at every step count, so
     # each search fails its first scan, inside sweep_cell as well
     def no_overlap(n, q, t, r):
-        return symspace.basis_state(n, n)
+        return basis_state(n, n)
 
     monkeypatch.setattr(depthsearch.trotter, "trotterized_state", no_overlap)
     out = tmp_path / "fail.csv"

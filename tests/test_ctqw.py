@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trotterwalk import ctqw, symspace
+from trotterwalk import ctqw, symspace, trotter
 
 
 def test_alpha_star_values():
@@ -20,7 +20,7 @@ def test_alpha_star_asymptotics():
 
 def test_p_weights_sum_to_one():
     for n in (1, 12, 68):
-        assert abs(ctqw.p_weights(n).sum() - 1.0) < 1e-12
+        assert abs(symspace.p_weights(n).sum() - 1.0) < 1e-12
 
 
 def _ulps(value: float, exact) -> float:
@@ -33,7 +33,7 @@ def test_walk_constants_are_correctly_rounded():
     with localcontext() as ctx:
         ctx.prec = 60
         for n in range(1, 81):
-            p = ctqw.p_weights(n)
+            p = symspace.p_weights(n)
             amp = symspace.plus_state(n).amp
             for k in range(n + 1):
                 weight = Fraction(math.comb(n, k), 2**n)
@@ -98,6 +98,37 @@ def test_ctqw_overlap_peaks_near_t_star():
         deviations[n] = abs(grid[int(np.argmax(ovs))] - ts) / ts
     assert deviations[4] <= 0.3
     assert deviations[8] <= 0.2
+
+
+def test_ctqw_state_at_zero_time():
+    for n in (1, 5, 40):
+        out = ctqw.ctqw_state(n, ctqw.alpha_star(n), 0.0)
+        assert np.allclose(out.amp, symspace.plus_state(n).amp, atol=1e-14)
+
+
+def test_ctqw_state_norm_random():
+    rng = np.random.default_rng(42)
+    for _ in range(300):
+        n = int(rng.integers(1, 81))
+        alpha = float(rng.uniform(0.0, 2.0))
+        t = float(rng.uniform(0.0, 1e6))
+        assert abs(ctqw.ctqw_state(n, alpha, t).norm() - 1.0) < 1e-10, (n, alpha, t)
+
+
+@pytest.mark.parametrize(
+    "eigensystem",
+    [lambda: ctqw.walk_eigensystem(4, ctqw.alpha_star(4)), lambda: trotter._mixer_eigensystem(4)],
+    ids=["walk", "mixer"],
+)
+def test_eigensystems_are_read_only(eigensystem):
+    w, v = eigensystem()
+    expected = w.copy()
+    with pytest.raises(ValueError):
+        w[0] = 99.0
+    with pytest.raises(ValueError):
+        v[0, 0] = 99.0
+    again, _ = eigensystem()
+    assert np.array_equal(again, expected)
 
 
 def test_ctqw_overlap_rejects_negative_time():
