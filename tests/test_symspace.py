@@ -69,6 +69,20 @@ def test_plus_state_norm_large_n():
     assert abs(symspace.plus_state(68).norm() - 1.0) < 1e-12
 
 
+def test_evolve_projector_eigenphase():
+    # exp(-i pi H_0) flips the sign of |e_0>
+    n = 3
+    v = basis_state(n, 0)
+    out = trotter.factors_operator(n, [(COST, math.pi)], alpha=0.3).entries @ v.amp
+    assert np.allclose(out, -v.amp, atol=1e-12)
+
+
+def test_evolve_single_qubit_closed_form():
+    # exp(-i X t) (1,0) = (cos t, -i sin t)
+    out = trotter.factors_operator(1, [(MIXER, math.pi / 2)], alpha=1.0).entries @ basis_state(1, 0).amp
+    assert np.allclose(out, [0.0, -1.0j], atol=1e-12)
+
+
 def _evolution(h: np.ndarray, t: float) -> symspace.SymOperator:
     """exp(-i h t) of a Hermitian matrix h, with its delta, from its eigensystem."""
     w, v = np.linalg.eigh(h)

@@ -67,14 +67,6 @@ def test_group_sequence_structure(q):
             assert total == pytest.approx(2.9, rel=1e-9)
 
 
-def test_factor_exponentials_closed_form():
-    # exp(-i pi H_0) flips the sign of |e_0>; exp(-i X pi/2) (1, 0) = (0, -i) at n = 1
-    cost = trotter.factors_operator(3, [(COST, math.pi)], alpha=0.3).entries[:, 0]
-    assert np.allclose(cost, [-1.0, 0.0, 0.0, 0.0], atol=1e-12)
-    mixer = trotter.factors_operator(1, [(MIXER, math.pi / 2)], alpha=1.0).entries[:, 0]
-    assert np.allclose(mixer, [0.0, -1.0j], atol=1e-12)
-
-
 def test_step_operator_identity_at_zero_time():
     u = trotter.step_operator(6, 4, 0.0, 1)
     assert np.max(np.abs(u.entries - np.eye(7))) < 1e-12
