@@ -37,9 +37,10 @@ N_MIN, N_MAX = 1, 80
 # bound-check measures the Trotter error at r = 2^j for each of these j
 BOUND_CHECK_R_EXPONENTS = range(2, 15)
 
-# grover-curve builds one row per iteration in memory; its default count,
-# ceil(pi / (4 asin 2^(-n/2))), stays under this cap up to n = 40
-GROVER_MAX_ROWS = 10**6
+# grover-curve (--k-max) and overlap-trace (--samples) build one row per
+# iteration or sample in memory before writing any; grover-curve's default
+# count, ceil(pi / (4 asin 2^(-n/2))), stays under this cap up to n = 40
+MAX_ROWS = 10**6
 
 # ExperimentConfig field -> validate's error when no flag or config key sets it
 MISSING = {
@@ -158,6 +159,8 @@ def validate(config: ExperimentConfig) -> list[str]:
             errors.append(f"admissible orders must be even integers >= 2, got {q}")
     if config.samples < 2:
         errors.append(f"--samples must be >= 2, got {config.samples}")
+    if config.samples > MAX_ROWS:
+        errors.append(f"overlap-trace would write {config.samples} rows, above the cap of {MAX_ROWS}; set a smaller --samples")
     if config.spacing not in ("linear", "geometric"):
         errors.append(f"--spacing must be linear or geometric, got {config.spacing!r}")
     if config.iterations < 1:
@@ -166,8 +169,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         config.k_max = ceil(pi / (4.0 * asin(2.0 ** (-0.5 * config.ns[0]))))
     if config.k_max is not None and config.k_max < 1:
         errors.append(f"--k-max must be >= 1, got {config.k_max}")
-    if config.k_max is not None and config.k_max > GROVER_MAX_ROWS:
-        errors.append(f"grover-curve would write {config.k_max} rows, above the cap of {GROVER_MAX_ROWS}; set a smaller --k-max")
+    if config.k_max is not None and config.k_max > MAX_ROWS:
+        errors.append(f"grover-curve would write {config.k_max} rows, above the cap of {MAX_ROWS}; set a smaller --k-max")
     if config.workers < 0:
         errors.append(f"--workers must be >= 0 (0 = one per CPU), got {config.workers}")
     if config.workers == 0:
@@ -352,10 +355,10 @@ FLAGS = {
     "--epsilon-list": ("epsilons", {"type": parse_float_list, "help": "comma-separated error budgets"}),
     "--order": ("order", {"help": "even formula order, or 'auto' (default)"}),
     "--orders": ("orders", {"type": parse_int_list, "help": "admissible orders, e.g. '2,4,6,8'"}),
-    "--samples": ("samples", {"type": int, "help": "trace sample count"}),
+    "--samples": ("samples", {"type": int, "help": f"trace sample count (at most {MAX_ROWS})"}),
     "--spacing": ("spacing", {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
     "--iterations": ("iterations", {"type": int, "help": "depth-search refinement iterations"}),
-    "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {GROVER_MAX_ROWS})"}),
+    "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {MAX_ROWS})"}),
     "--workers": ("workers", {"type": int, "help": "worker processes (default or 0: one per CPU)"}),
     "--out": ("out", {"help": f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)"}),
 }

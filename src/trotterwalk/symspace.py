@@ -82,6 +82,36 @@ class SymOperator:
         """Whether the unitarity defect is at most 1e-12, tested once per operator."""
         return self.unitarity_defect() <= 1e-12
 
+    @cached_property
+    def _polar_squares(self) -> list[np.ndarray]:
+        """E_k = u^(2^k) - I at k = 0, _POLAR_EVERY, 2 _POLAR_EVERY, ..., filled by ``_squares``."""
+        return [self.delta]
+
+    def _squares(self, count: int):
+        """Yield E_k = u^(2^k) - I for k = 0 .. count - 1, squaring as (I + E)^2 - I = 2E + E^2.
+
+        At every ``_POLAR_EVERY``-th k a unitary u's square is also projected
+        by one ``_polar_step``; these squares are kept, read-only, so a later
+        call starts each run of plain squares from a kept one.  The squares
+        between them are written over a working copy.
+        """
+        kept = self._polar_squares
+        for k in range(count):
+            level, offset = divmod(k, _POLAR_EVERY)
+            if offset == 0:
+                if level == len(kept):
+                    e = _times_plus(e, e)
+                    if self.is_unitary:
+                        e = _polar_step(e)
+                    e.flags.writeable = False
+                    kept.append(e)
+                e = kept[level]
+            else:
+                if offset == 1:
+                    e = e.copy()
+                e = _times_plus(e, e)
+            yield e
+
 
 def build_hx(n: int) -> np.ndarray:
     """Hypercube adjacency operator restricted to the symmetric subspace.
@@ -153,12 +183,13 @@ _POLAR_EVERY = 4
 def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
     """u^m x (x a vector or a matrix) for each m in steps, from one pass of repeated squaring.
 
-    The squares u^(2^k) are made in turn and each is held, one at a time, as
-    E = u^(2^k) - I, so a step within machine epsilon of the identity keeps
-    its digits; it squares as (I + E)^2 - I = 2E + E^2, and each set bit k
-    of m updates that power's x as x + E x.  x is carried in full: an update
-    rounds at one ulp of x, which later unitary factors do not amplify,
-    while a rounding error in E is doubled by every later square.
+    The squares u^(2^k) are made in turn (``SymOperator._squares``) and each
+    is held as E = u^(2^k) - I, so a step within machine epsilon of the
+    identity keeps its digits; it squares as (I + E)^2 - I = 2E + E^2, and
+    each set bit k of m updates that power's x as x + E x.  x is carried in
+    full: an update rounds at one ulp of x, which later unitary factors do
+    not amplify, while a rounding error in E is doubled by every later
+    square.
     Plain repeated squaring drifts off the unitary manifold linearly in m,
     so when u is unitary every ``_POLAR_EVERY``-th square is snapped back by
     one Newton-Schulz polar step.  Projecting more often buys nothing: if
@@ -168,7 +199,9 @@ def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
     does the defect leak into the unitary part: writing X = W (I + D/2) with
     W unitary, X^2 = W^2 (I + (W^dag D W + D)/2 + O(D^2)), whose polar factor
     is W^2 up to O(D^2).  That is 1.5 matrix products per squaring instead
-    of 3.
+    of 3.  The projected squares are kept on u (one in ``_POLAR_EVERY``,
+    15 matrices for r just below 2^60) and reused by every later powering of the same
+    operator, which then pays 0.75 products per squaring and no projection.
     """
     steps = list(steps)
     for m in steps:
@@ -176,12 +209,7 @@ def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
             raise ValueError(f"step count must be a non-negative integer, got {m!r}")
     steps = [int(m) for m in steps]
     out = [x] * len(steps)
-    e = u.delta.copy()  # squares are written over e, never over u's delta
-    for k in range(max(steps, default=0).bit_length()):
-        if k:
-            e = _times_plus(e, e)
-            if k % _POLAR_EVERY == 0 and u.is_unitary:
-                e = _polar_step(e)
+    for k, e in enumerate(u._squares(max(steps, default=0).bit_length())):
         for i, m in enumerate(steps):
             if (m >> k) & 1:
                 out[i] = out[i] + e @ out[i]

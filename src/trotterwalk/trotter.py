@@ -164,6 +164,8 @@ def _recursive_delta(w: np.ndarray, v: np.ndarray, vh: np.ndarray, alpha: float,
     return symspace._times_plus(outer, symspace._times_plus(middle, outer))
 
 
+# typed: a float r must miss the cache and be refused, not return an int r's step
+@lru_cache(maxsize=1, typed=True)
 def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
     """One Trotter step S_q(t/r) as an (n+1)x(n+1) unitary, with its exact delta.
 
@@ -172,11 +174,17 @@ def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
     in E = S - I form: 2^(q/2-1) order-2 blocks of two matrix products each
     and three products per level, 37 for q = 8 where walking its 251 merged
     factors takes 252.
+
+    The last step built is cached, so the state, spectral error and trace of
+    one (n, q, t, r) share it and the squares its first powering keeps;
+    its arrays are read-only.
     """
     _check_order(q)
     _check_steps(r)
     w, v = _mixer_eigensystem(n)
-    return SymOperator.near_identity(n, _recursive_delta(w, v, v.conj().T, ctqw.alpha_star(n), q, t / r))
+    step = SymOperator.near_identity(n, _recursive_delta(w, v, v.conj().T, ctqw.alpha_star(n), q, t / r))
+    step.delta.flags.writeable = step.entries.flags.writeable = False
+    return step
 
 
 def trotterized_state(n: int, q: int, t: float, r: int) -> SymVector:

@@ -305,6 +305,17 @@ def test_grover_curve_row_cap():
     assert config.k_max == 823550
 
 
+def test_overlap_trace_sample_cap(tmp_path, capsys):
+    # the trace holds every sample in memory before it writes a row
+    config = cli.ExperimentConfig(experiment="overlap-trace", ns=[10], epsilons=[0.01], samples=cli.MAX_ROWS)
+    assert cli.validate(config) == []
+    out = tmp_path / "trace.csv"
+    code = cli.main(["overlap-trace", "--n", "10", "--epsilon", "0.01", "--samples", str(cli.MAX_ROWS + 1), "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
     assert cli.main(["grover-curve", "--n", "3", "--k-max", "2"]) == 0

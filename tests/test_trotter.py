@@ -77,6 +77,36 @@ def test_step_operator_unitary():
     assert u.unitarity_defect() <= 1e-11
 
 
+def test_step_operator_is_read_only():
+    # the cached step is handed to every caller of its (n, q, t, r)
+    u = trotter.step_operator(6, 4, ctqw.t_star(6), 8)
+    for a in (u.delta, u.entries):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+def test_cell_shares_one_powered_step(monkeypatch):
+    # state, spectral error and trace of one cell at r > 2^53 reuse the
+    # cached step's projected squares: the first powering makes one polar
+    # step per _POLAR_EVERY squarings, matrix_power one more at the end
+    n, q = 80, 4
+    t, r = ctqw.t_star(n), bounds.required_steps(n, q, 0.001)
+    trotter.step_operator.cache_clear()
+    polar, calls = symspace._polar_step, []
+    monkeypatch.setattr(symspace, "_polar_step", lambda e: calls.append(None) or polar(e))
+
+    def cell():
+        state = trotter.trotterized_state(n, q, t, r)
+        return state.amp.tobytes(), bounds.spectral_error(n, q, t, r), trotter.overlap_trace(n, q, t, r, samples=41)
+
+    shared = cell()
+    assert len(calls) == (r.bit_length() - 1) // symspace._POLAR_EVERY + 1
+    # the same cell with a fresh, uncached copy of the step in every call
+    delta = trotter.step_operator(n, q, t, r).delta
+    monkeypatch.setattr(trotter, "step_operator", lambda *args: symspace.SymOperator.near_identity(n, delta.copy()))
+    assert cell() == shared
+
+
 # the last case has r > 2^53, where the step's delta lies below machine epsilon of I
 @pytest.mark.parametrize("n, q, eps", [(n, q, 0.01) for n in (8, 32, 68) for q in (2, 4, 6, 8)] + [(80, 4, 0.001)])
 def test_recursive_step_matches_factor_walk(n, q, eps):
