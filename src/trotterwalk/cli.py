@@ -174,7 +174,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.workers < 0:
         errors.append(f"--workers must be >= 0 (0 = one per CPU), got {config.workers}")
     if config.workers == 0:
-        config.workers = os.cpu_count() or 1
+        # the CPUs this process may run on, which taskset or a cpuset can make fewer than os.cpu_count()
+        config.workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if config.experiment in ("overlap-trace", "grover-curve") and len(config.ns) != 1:
         errors.append(f"{config.experiment} needs exactly one system size")
     if config.experiment == "overlap-trace" and len(config.epsilons) > 1:
@@ -359,16 +360,34 @@ FLAGS = {
     "--spacing": ("spacing", {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
     "--iterations": ("iterations", {"type": int, "help": "depth-search refinement iterations"}),
     "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {MAX_ROWS})"}),
-    "--workers": ("workers", {"type": int, "help": "worker processes (default or 0: one per CPU)"}),
+    "--workers": ("workers", {"type": int, "help": "processes that compute, the calling one among them (default or 0: one per usable CPU)"}),
     "--out": ("out", {"help": f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)"}),
 }
 
 
-def _map_cells(fn, cells, workers: int):
-    if workers <= 1 or len(cells) <= 1:
+def _map_cells(fn, cells: list, workers: int) -> list:
+    """``[fn(cell) for cell in cells]`` computed by ``min(workers, len(cells))``
+    processes: the calling process and one forked child less than that.
+
+    Every cell but ``cells[children]`` is submitted, the first ``children``
+    of them one per child.  The caller computes ``cells[children]``, then
+    each later cell that no child has taken yet, and then collects the
+    children's results.  It keeps that cell back because the executor hands
+    the children up to ``children + 1`` cells at once: submitted, it could
+    go to a busy child while the caller waited.  An exception from any cell
+    propagates once the cells running in children have finished; the cells
+    no child has started are dropped.
+    """
+    children = min(workers, len(cells)) - 1
+    if children < 1:
         return [fn(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-        return list(pool.map(fn, cells))
+    pool = ProcessPoolExecutor(max_workers=children)
+    try:
+        futures = {i: pool.submit(fn, cell) for i, cell in enumerate(cells) if i != children}
+        own = {i: fn(cells[i]) for i in range(children, len(cells)) if i == children or futures[i].cancel()}
+        return [own[i] if i in own else futures[i].result() for i in range(len(cells))]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run(config: ExperimentConfig) -> int:

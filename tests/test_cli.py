@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -215,6 +216,50 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert cli.main(trace) == cli.EXIT_USAGE
     assert "overlap-trace needs exactly one error budget" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_workers_zero_counts_the_usable_cpus(monkeypatch):
+    # one CPU left to this process by its affinity mask, of however many the host has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    config = cli.ExperimentConfig(experiment="depth-search", ns=[8], epsilons=[0.1])
+    assert cli.validate(config) == []
+    assert config.workers == 1
+    # where the platform has no affinity mask, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    config = cli.ExperimentConfig(experiment="depth-search", ns=[8], epsilons=[0.1])
+    assert cli.validate(config) == []
+    assert config.workers == 3
+
+
+def _cell_and_pid(cell):
+    """A pool task: sleeps up to 10 ms and returns the cell with the pid that ran it; a negative cell raises."""
+    if cell < 0:
+        raise ValueError(f"cell {cell}")
+    time.sleep(0.001 * (cell % 11))
+    return cell, os.getpid()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_map_cells_keeps_order_with_one_child_fewer_than_workers(workers, count):
+    cells = list(range(count))
+    results = cli._map_cells(_cell_and_pid, cells, workers)
+    assert [cell for cell, _ in results] == cells
+    # the calling process is one of the workers; which cells it ran besides
+    # its own depends on when the executor hands cells to its children
+    pids = {pid for _, pid in results}
+    assert count == 0 or os.getpid() in pids
+    assert len(pids - {os.getpid()}) <= max(0, min(workers, count) - 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_cells_raises_a_cell_error(workers):
+    # the failing cell is a child's first, the caller's own, or the last
+    for bad in (0, workers - 1, 6):
+        cells = [-1 if i == bad else i for i in range(7)]
+        with pytest.raises(ValueError, match="cell -1"):
+            cli._map_cells(_cell_and_pid, cells, workers)
 
 
 @pytest.mark.parametrize(

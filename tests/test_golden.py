@@ -2,12 +2,13 @@
 
 Each command is run through ``cli.main``, with one worker where the
 experiment takes ``--workers``, and its CSV is compared with the copy under
-``tests/golden/``.  The ratio-sweep command also runs with two workers,
-through the process pool, against the same golden CSV.  The header and every integer or boolean column must be
-byte-identical and the ``#`` line must match once the library version is
-removed.  A column is a float column when
-any golden cell in it has a '.', an exponent, 'inf' or 'nan'; its values
-must agree within ``REL_TOL * |golden| + ABS_TOL``.  The absolute term
+``tests/golden/``.  The ratio-sweep command also runs through the process
+pool with two and three workers (one and two forked children), and the
+depth-search command with two, against the same golden CSVs.  The header
+and every integer or boolean column must be byte-identical and the ``#``
+line must match once the library version is removed.  A column is a float
+column when any golden cell in it has a '.', an exponent, 'inf' or 'nan';
+its values must agree within ``REL_TOL * |golden| + ABS_TOL``.  The absolute term
 covers values near zero, such as bound-check's ``spectral_error`` (down to
 about 7e-15), where a relative bound alone means nothing.
 
@@ -36,7 +37,6 @@ COMMANDS = {
     "bound-check": ["--n-range", "4..10:2"],
     "overlap-trace": ["--n", "20", "--epsilon", "0.01"],
 }
-RATIO_SWEEP_POOL = ["--n-range", "16..24:2", "--epsilon-list", "0.1,0.01", "--workers", "2"]
 
 
 def generate(experiment: str, out: Path, args: list[str] | None = None) -> list[str]:
@@ -73,8 +73,11 @@ def test_cli_output_matches_golden(experiment, tmp_path):
     assert_matches_golden(experiment, generate(experiment, tmp_path / f"{experiment}.csv"))
 
 
-def test_ratio_sweep_through_the_pool_matches_golden(tmp_path):
-    assert_matches_golden("ratio-sweep", generate("ratio-sweep", tmp_path / "ratio-sweep.csv", RATIO_SWEEP_POOL))
+@pytest.mark.parametrize("experiment, workers", [("ratio-sweep", 2), ("ratio-sweep", 3), ("depth-search", 2)])
+def test_through_the_pool_matches_golden(experiment, workers, tmp_path):
+    # the last --workers given wins over the golden command's own
+    args = [*COMMANDS[experiment], "--workers", str(workers)]
+    assert_matches_golden(experiment, generate(experiment, tmp_path / f"{experiment}.csv", args))
 
 
 if __name__ == "__main__":
