@@ -366,8 +366,8 @@ FLAGS = {
 
 
 def _map_cells(fn, cells: list, workers: int) -> list:
-    """``[fn(cell) for cell in cells]`` computed by ``min(workers, len(cells))``
-    processes: the calling process and one forked child less than that.
+    """``[fn(cell) for cell in cells]`` computed by the calling process and
+    ``children = min(workers, len(cells)) - 1`` forked children.
 
     Every cell but ``cells[children]`` is submitted, the first ``children``
     of them one per child.  The caller computes ``cells[children]``, then
