@@ -16,7 +16,8 @@ print("  cost-block durations:", np.round(costs, 4))
 
 n = 8
 ts = ctqw.t_star(n)
-print(f"\nn = {n}: grouped sequence q=4, r=3 has depth {trotter.group_sequence(4, 3, ts).depth}"
+depth = sum(1 for tag, _ in trotter.group_sequence(4, 3, ts) if tag == "cost")
+print(f"\nn = {n}: grouped sequence q=4, r=3 has depth {depth}"
       f" = r * stages = 3 * {trotter.stage_count(4)}")
 
 print("\nspectral error ||U - S_q^r|| vs r (watch the slopes):")

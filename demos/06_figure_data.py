@@ -37,7 +37,7 @@ print(f"""
 done; CSVs in {outdir}
 
 The full large-n sweep is deliberately not run here; reproduce it with
-(90 cells up to n = 80, about 14 s with two workers; see the README):
+(90 cells up to n = 80; the README gives its measured run time):
 
   trotterwalk ratio-sweep --n-range 22..80:2 --epsilon-list 0.001,0.01,0.1 \\
       --out ratio_sweep_full.csv

@@ -16,7 +16,6 @@ overlap-deficit budget that happens to share the symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import ceil, exp, log, pi, sqrt
 from typing import NamedTuple
 
@@ -48,28 +47,32 @@ def ln_delta_bound(n: int, q: int) -> float:
 
 
 def delta_exact(n: int, q: int) -> float:
-    """Brute-force commutator sum: enumerate all (q+1)-index sequences.
+    """Exact commutator sum over all (q+1)-index sequences.
 
     Generators are H1 = -i*H_0 and H2 = -i*alpha**H_x in the symmetric
-    subspace.  Sequences whose two innermost indices coincide vanish
-    identically but are enumerated anyway.  Cost grows as 2^(q+1), hence
-    the order guard.
+    subspace.  The sequences are walked depth first, in the order of
+    ``itertools.product((0, 1), repeat=q + 1)``, and each nested commutator
+    is formed once from its prefix's: 2^(q+2) - 4 commutators, holding
+    q + 1 matrices at once.  Sequences whose two innermost indices coincide
+    vanish identically but are walked anyway.
     """
     symspace.check_n(n)
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError(f"order must be an integer >= 1, got {q!r}")
-    if q > 4:
-        raise ValueError(f"exact commutator sum limited to q <= 4, got {q}")
     h1 = -1j * symspace.build_h0(n)
     h2 = -1j * ctqw.alpha_star(n) * symspace.build_hx(n)
     gens = (h1, h2)
+
+    def walk(nested: np.ndarray, depth: int, total: float) -> float:
+        if depth == q:
+            return total + float(np.linalg.norm(nested, 2))
+        for g in gens:
+            total = walk(g @ nested - nested @ g, depth + 1, total)
+        return total
+
     total = 0.0
-    for seq in product((0, 1), repeat=q + 1):
-        nested = gens[seq[0]]
-        for idx in seq[1:]:
-            g = gens[idx]
-            nested = g @ nested - nested @ g
-        total += float(np.linalg.norm(nested, 2))
+    for g in gens:
+        total = walk(g, 0, total)
     return total
 
 

@@ -75,7 +75,7 @@ def numeric_optimal_depth(
     refinement_iterations: int = DEFAULT_ITERATIONS,
     d_cap: int = DEFAULT_D_CAP,
 ) -> DepthSearchResult:
-    """Approximate the smallest depth reaching the walk overlap within epsilon.
+    """Search for a depth reaching the walk overlap within epsilon.
 
     Deterministic in all arguments.  Level 0 scans the step multiplier
     d = 1..1+d_cap until |<e_0|S_q^r|+>|^2 >= reference - epsilon, and raises
@@ -83,6 +83,11 @@ def numeric_optimal_depth(
     refinement_iterations - 1 levels halves the resolution: it tries
     d -> 2d - 1 and otherwise keeps d -> 2d, the step count already
     accepted.  The returned depth is r * 5^(q/2-1) at the final step count.
+
+    That is the smallest depth on the dyadic grid only while a rejected step
+    count stays rejected, as at q = 2 and 4.  At q = 8 the deficit is not
+    monotone in r, and the result is the search's first crossing on its
+    grid: at (44, 8, 0.01) r = 0.727 r_final also meets the budget.
     """
     search = _depth_search(n, q, epsilon_overlap, refinement_iterations, d_cap, {})
     try:
@@ -225,6 +230,9 @@ def sweep_cell(
     with the smallest bound (then the earlier one in ``orders``) always takes
     the next step, and the cell stops once the smallest bound exceeds the
     best finished depth.  The result equals a full search of every order.
+    Each order's depth is what ``numeric_optimal_depth`` returns: at q = 8,
+    the search's first crossing on its dyadic grid, not the smallest depth
+    that meets the budget.
 
     Orders whose search fails are skipped.  A search fails only in its
     level-0 scan, which implies that order needs more than

@@ -47,31 +47,28 @@ class SymVector:
 
 @dataclass(frozen=True, eq=False)
 class SymOperator:
-    """Dense complex operator near the identity on the symmetric subspace.
+    """Dense complex operator near the identity on the symmetric subspace, stored as its delta.
 
-    ``delta`` is the exact difference ``entries - I``.  The operators here
-    (Trotter steps and their powers) carry it because rounding ``I + delta``
-    to ``entries`` loses the digits of delta below machine epsilon, which
-    repeated squaring would amplify.  Build them with ``near_identity``.
+    ``delta`` is the exact difference between the operator and I.  The
+    operators here (Trotter steps and their powers) carry only it because
+    rounding ``I + delta`` loses the digits of delta below machine epsilon,
+    which repeated squaring would amplify.
     """
 
     n: int
-    entries: np.ndarray
     delta: np.ndarray
 
     def __post_init__(self):
         check_n(self.n)
-        shape = (self.n + 1, self.n + 1)
-        for name in ("entries", "delta"):
-            value = np.asarray(getattr(self, name), dtype=complex)
-            if value.shape != shape:
-                raise ValueError(f"operator must be (n+1)x(n+1)={self.n + 1}x{self.n + 1}, got shape {value.shape}")
-            object.__setattr__(self, name, value)
+        delta = np.asarray(self.delta, dtype=complex)
+        if delta.shape != (self.n + 1, self.n + 1):
+            raise ValueError(f"operator must be (n+1)x(n+1)={self.n + 1}x{self.n + 1}, got shape {delta.shape}")
+        object.__setattr__(self, "delta", delta)
 
-    @classmethod
-    def near_identity(cls, n: int, delta: np.ndarray) -> SymOperator:
-        """The operator I + delta, keeping delta exact."""
-        return cls(n, np.eye(n + 1) + delta, delta)
+    @property
+    def entries(self) -> np.ndarray:
+        """The rounded matrix I + delta, a new array on each access."""
+        return np.eye(self.n + 1) + self.delta
 
     def unitarity_defect(self) -> float:
         """Max-norm of U^dag U - I; zero for an exactly unitary operator."""
@@ -227,11 +224,4 @@ def matrix_power(u: SymOperator, r: int) -> SymOperator:
     delta = apply_powers(u, [r], eye)[0] - eye
     if r > 1 and u.is_unitary:
         delta = _polar_step(delta)
-    return SymOperator.near_identity(u.n, delta)
-
-
-def overlap(a: SymVector, b: SymVector) -> float:
-    """Squared inner product |<a|b>|^2."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return float(abs(np.vdot(a.amp, b.amp)) ** 2)
+    return SymOperator(u.n, delta)

@@ -74,33 +74,16 @@ def merge_adjacent(factors: Sequence[Factor]) -> list[Factor]:
     return merged
 
 
-@dataclass(frozen=True)
-class ProductFormula:
-    """Grouped exponent-factor sequence for r steps of an order-q formula."""
-
-    q: int
-    r: int
-    t: float
-    factors: tuple[Factor, ...]
-    stages: int
-
-    @property
-    def depth(self) -> int:
-        """QAOA depth p = r * stages = number of cost factors."""
-        return self.r * self.stages
-
-
-def group_sequence(q: int, r: int, t: float) -> ProductFormula:
+def group_sequence(q: int, r: int, t: float) -> tuple[Factor, ...]:
     """Concatenate r steps at t/r each and merge across step boundaries.
 
     The result alternates mixer/cost factors, starting and ending on a
-    mixer, with per-generator coefficients summing to t.
+    mixer, with per-generator coefficients summing to t; its
+    r * stage_count(q) cost factors are the QAOA depth.
     """
     _check_order(q)
     _check_steps(r)
-    step = suzuki_coefficients(q, t / r)
-    factors = merge_adjacent(step * r)
-    return ProductFormula(q=q, r=int(r), t=t, factors=tuple(factors), stages=stage_count(q))
+    return tuple(merge_adjacent(suzuki_coefficients(q, t / r) * r))
 
 
 @lru_cache(maxsize=None)
@@ -109,11 +92,6 @@ def _mixer_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(symspace.build_hx(n))
     w.flags.writeable = v.flags.writeable = False
     return w, v
-
-
-def apply_factors(n: int, factors: Sequence[Factor], alpha: float) -> SymVector:
-    """Apply an exponent-factor sequence to |+>^n."""
-    return SymVector(n, factors_operator(n, factors, alpha).entries @ symspace.plus_state(n).amp)
 
 
 def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOperator:
@@ -136,7 +114,7 @@ def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOper
             e = e + (v * np.expm1(-1j * alpha * tau * w)) @ (v.conj().T @ op)
         else:
             raise ValueError(f"unknown generator tag {tag!r}")
-    return SymOperator.near_identity(n, e)
+    return SymOperator(n, e)
 
 
 def _recursive_delta(w: np.ndarray, v: np.ndarray, vh: np.ndarray, alpha: float, q: int, tau: float) -> np.ndarray:
@@ -177,13 +155,13 @@ def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
 
     The last step built is cached, so the state, spectral error and trace of
     one (n, q, t, r) share it and the squares its first powering keeps;
-    its arrays are read-only.
+    its delta is read-only.
     """
     _check_order(q)
     _check_steps(r)
     w, v = _mixer_eigensystem(n)
-    step = SymOperator.near_identity(n, _recursive_delta(w, v, v.conj().T, ctqw.alpha_star(n), q, t / r))
-    step.delta.flags.writeable = step.entries.flags.writeable = False
+    step = SymOperator(n, _recursive_delta(w, v, v.conj().T, ctqw.alpha_star(n), q, t / r))
+    step.delta.flags.writeable = False
     return step
 
 
@@ -242,11 +220,16 @@ def qaoa_angles(q: int, t: float, r: int) -> QaoaAngles:
     """Read depth-p QAOA angles off the grouped order-q formula.
 
     Its factors alternate mixer, cost, ..., cost, mixer: the costs are the
-    gammas and the mixers after the leading half are the betas.
+    gammas and the mixers after the leading half are the betas.  All r
+    steps are equal, so the angles are one merged step's, tiled r times:
+    a step's last mixer merges with the next step's first, except at the end.
     """
-    coeffs = np.array([c for _, c in group_sequence(q, r, t).factors])
-    gammas = coeffs[1::2]
-    return QaoaAngles(p=len(gammas), gammas=gammas, betas=coeffs[2::2])
+    _check_steps(r)
+    step = np.array([c for _, c in merge_adjacent(suzuki_coefficients(q, t / r))])
+    gammas = np.tile(step[1::2], r)
+    betas = np.tile([*step[2:-1:2], step[-1] + step[0]], r)
+    betas[-1] = step[-1]
+    return QaoaAngles(p=len(gammas), gammas=gammas, betas=betas)
 
 
 def _angles_to_factors(angles: QaoaAngles) -> list[Factor]:
@@ -259,7 +242,7 @@ def _angles_to_factors(angles: QaoaAngles) -> list[Factor]:
 
 def apply_qaoa_angles(n: int, angles: QaoaAngles) -> SymVector:
     """Run the alternating-ansatz circuit from recovered angles on |+>^n, at alpha*(n)."""
-    return apply_factors(n, _angles_to_factors(angles), ctqw.alpha_star(n))
+    return SymVector(n, angles_operator(n, angles).entries @ symspace.plus_state(n).amp)
 
 
 def angles_operator(n: int, angles: QaoaAngles) -> SymOperator:
@@ -269,6 +252,7 @@ def angles_operator(n: int, angles: QaoaAngles) -> SymOperator:
 
 def phase_aligned_distance(a: SymOperator, b: SymOperator) -> float:
     """Spectral distance min over global phase of ||a - e^(i phi) b||_2."""
-    tr = np.trace(b.entries.conj().T @ a.entries)
+    x, y = a.entries, b.entries
+    tr = np.trace(y.conj().T @ x)
     phase = tr / abs(tr) if abs(tr) > 0 else 1.0
-    return float(np.linalg.svd(a.entries - phase * b.entries, compute_uv=False)[0])
+    return float(np.linalg.svd(x - phase * y, compute_uv=False)[0])

@@ -89,7 +89,7 @@ def test_criterion_05_full_space_oracle_equivalence():
             q = int(rng.choice([2, 4, 6]))
             r = int(rng.integers(1, 33))
             t = float(rng.uniform(0.05, 1.0)) * ctqw.t_star(n)
-            factors = trotter.group_sequence(q, r, t).factors
+            factors = trotter.group_sequence(q, r, t)
             full = full_space_oracle(n, factors, alpha)
             sub = trotter.trotterized_state(n, q, t, r)
             worst = max(worst, float(np.max(np.abs(full.amp - sub.amp))))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,10 +33,18 @@ def test_delta_exact_first_order():
 
 def test_delta_exact_below_bound():
     for n in (3, 6, 16):
-        for q in (1, 2, 3, 4):
+        for q in range(1, 9):
             assert bounds.delta_exact(n, q) <= bounds.delta_bound(n, q)
-    with pytest.raises(ValueError):
-        bounds.delta_exact(4, 5)
+    # the prefix-sharing walk against every sequence built from scratch, summed in the same order
+    n, q = 3, 6
+    gens = (-1j * symspace.build_h0(n), -1j * ctqw.alpha_star(n) * symspace.build_hx(n))
+    total = 0.0
+    for seq in itertools.product((0, 1), repeat=q + 1):
+        nested = gens[seq[0]]
+        for idx in seq[1:]:
+            nested = gens[idx] @ nested - nested @ gens[idx]
+        total += float(np.linalg.norm(nested, 2))
+    assert bounds.delta_exact(n, q) == total
 
 
 def test_trotter_error_bound_specialization():

@@ -62,6 +62,22 @@ def test_numeric_depth_invariants_at_large_n(n):
     assert abs(state.amp[0]) ** 2 < threshold
 
 
+def test_q8_depth_is_a_crossing_not_the_smallest():
+    # at q = 8 the deficit is not monotone in r: a step count 0.727 r_final
+    # meets the budget (margin +7.8e-3), the grid's neighbour below r_final
+    # does not (-1.8e-3), and r_final does again (+1.1e-3)
+    n, q, eps = 44, 8, 0.01
+    res = depthsearch.numeric_optimal_depth(n, q, eps)
+    assert res.r_final == 760832
+    threshold = res.reference - eps
+
+    def accepted(r):
+        return abs(trotter.trotterized_state(n, q, ctqw.t_star(n), r).amp[0]) ** 2 >= threshold
+
+    r_below = depthsearch._steps_at(n, res.d - 1, res.level)
+    assert [accepted(r) for r in (552820, r_below, res.r_final)] == [True, False, True]
+
+
 def test_numeric_depth_monotone_in_epsilon():
     rs = [depthsearch.numeric_optimal_depth(10, 2, eps).r_final for eps in (0.01, 0.05, 0.2)]
     assert rs[0] >= rs[1] >= rs[2]

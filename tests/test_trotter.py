@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,30 +41,28 @@ def test_suzuki_order_four_middle_block():
 
 
 def test_group_sequence_merges_halves():
-    pf = trotter.group_sequence(2, 2, 1.0)
-    assert pf.factors == ((MIXER, 0.25), (COST, 0.5), (MIXER, 0.5), (COST, 0.5), (MIXER, 0.25))
-    assert pf.depth == 2
+    factors = trotter.group_sequence(2, 2, 1.0)
+    assert factors == ((MIXER, 0.25), (COST, 0.5), (MIXER, 0.5), (COST, 0.5), (MIXER, 0.25))
 
 
 def test_group_sequence_depths():
-    assert trotter.group_sequence(2, 1, 1.0).depth == 1
-    pf = trotter.group_sequence(4, 3, 1.0)
-    assert sum(1 for tag, _ in pf.factors if tag == COST) == 15
-    assert pf.depth == 15
-    assert pf.stages == 5
+    # the depth is the number of cost factors, r * stage_count(q)
+    assert sum(1 for tag, _ in trotter.group_sequence(2, 1, 1.0) if tag == COST) == 1
+    assert sum(1 for tag, _ in trotter.group_sequence(4, 3, 1.0) if tag == COST) == 15
+    assert trotter.stage_count(4) == 5
 
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
 def test_group_sequence_structure(q):
     assert trotter.stage_count(q) == 5 ** (q // 2 - 1)
     for r in (1, 3, 13, 32):
-        pf = trotter.group_sequence(q, r, 2.9)
-        tags = [tag for tag, _ in pf.factors]
+        factors = trotter.group_sequence(q, r, 2.9)
+        tags = [tag for tag, _ in factors]
         assert tags[0] == MIXER and tags[-1] == MIXER
         assert all(tags[i] != tags[i + 1] for i in range(len(tags) - 1))
-        assert sum(1 for tag in tags if tag == COST) == r * pf.stages
+        assert sum(1 for tag in tags if tag == COST) == r * trotter.stage_count(q)
         for gen in (COST, MIXER):
-            total = sum(c for tag, c in pf.factors if tag == gen)
+            total = sum(c for tag, c in factors if tag == gen)
             assert total == pytest.approx(2.9, rel=1e-9)
 
 
@@ -80,9 +79,12 @@ def test_step_operator_unitary():
 def test_step_operator_is_read_only():
     # the cached step is handed to every caller of its (n, q, t, r)
     u = trotter.step_operator(6, 4, ctqw.t_star(6), 8)
-    for a in (u.delta, u.entries):
-        with pytest.raises(ValueError):
-            a[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        u.delta[0, 0] = 0.0
+    # entries is a new array on each access: writing into one leaves the step as it was
+    delta, entries = u.delta.tobytes(), u.entries
+    entries[0, 0] = 0.0
+    assert u.delta.tobytes() == delta and u.entries[0, 0] != 0.0
 
 
 def test_cell_shares_one_powered_step(monkeypatch):
@@ -103,7 +105,7 @@ def test_cell_shares_one_powered_step(monkeypatch):
     assert len(calls) == (r.bit_length() - 1) // symspace._POLAR_EVERY + 1
     # the same cell with a fresh, uncached copy of the step in every call
     delta = trotter.step_operator(n, q, t, r).delta
-    monkeypatch.setattr(trotter, "step_operator", lambda *args: symspace.SymOperator.near_identity(n, delta.copy()))
+    monkeypatch.setattr(trotter, "step_operator", lambda *args: symspace.SymOperator(n, delta.copy()))
     assert cell() == shared
 
 
@@ -137,7 +139,7 @@ def test_trotterized_state_matches_full_space(n):
         q = int(rng.choice([2, 4, 6]))
         r = int(rng.integers(1, 24))
         t = float(rng.uniform(0.1, 1.0)) * ctqw.t_star(n)
-        full = full_space_oracle(n, trotter.group_sequence(q, r, t).factors, alpha)
+        full = full_space_oracle(n, trotter.group_sequence(q, r, t), alpha)
         sub = trotter.trotterized_state(n, q, t, r)
         assert np.max(np.abs(full.amp - sub.amp)) < 1e-10
 
@@ -221,14 +223,25 @@ def test_angle_circuit_reproduces_state():
 
 
 def test_qaoa_angles_are_the_grouped_sequence():
-    for q, r in ((2, 5), (4, 2), (6, 3)):
+    for q, r in ((2, 5), (4, 2), (6, 3), (8, 1), (2, 13), (8, 13)):
         ang = trotter.qaoa_angles(q, 4.2, r)
         assert len(ang.gammas) == len(ang.betas) == ang.p == r * trotter.stage_count(q)
         assert ang.gammas.sum() == pytest.approx(4.2, rel=1e-12)
-        factors = trotter.group_sequence(q, r, 4.2).factors
+        factors = trotter.group_sequence(q, r, 4.2)
         assert factors[0] == (MIXER, ang.leading_mixer_half)
         assert factors[1::2] == tuple((COST, gamma) for gamma in ang.gammas.tolist())
         assert factors[2::2] == tuple((MIXER, beta) for beta in ang.betas.tolist())
+
+
+def test_qaoa_angles_hold_no_more_than_the_result():
+    # the angles are one merged step's, tiled r times, with no r-fold list of factors
+    tracemalloc.start()
+    try:
+        ang = trotter.qaoa_angles(4, 4.2, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (ang.gammas.nbytes + ang.betas.nbytes)
 
 
 def test_order_scaling_small():
