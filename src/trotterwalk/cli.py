@@ -8,7 +8,8 @@ a given configuration; timestamps live only in the sidecar.
 
 Exit codes: 0 success, 2 usage/validation error, 3 partial failure (some
 cells failed; completed rows are still written and the sidecar lists the
-failures as machine-readable records).
+failures as machine-readable records).  A config file that fails exits 2
+before the other settings are checked.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ BOUND_CHECK_R_EXPONENTS = range(2, 15)
 # iteration or sample in memory before writing any; grover-curve's default
 # count, ceil(pi / (4 asin 2^(-n/2))), stays under this cap up to n = 40
 MAX_ROWS = 10**6
-
-# ExperimentConfig field -> validate's error when no flag or config key sets it
-MISSING = {
-    "ns": "no system size given (use --n or --n-range)",
-    "epsilons": "no error budget given (use --epsilon or --epsilon-list)",
-}
 
 
 @dataclass
@@ -85,6 +80,8 @@ def parse_int_range(text: str) -> list[int]:
     sizes = range(int(lo), int(hi) + 1, step)
     if len(sizes) > N_MAX - N_MIN + 1:  # refused before the list is built
         raise RangeError(f"range holds {len(sizes)} sizes, more than the {N_MAX - N_MIN + 1} in [{N_MIN}, {N_MAX}]")
+    if not sizes:
+        raise RangeError(f"range {text} holds no sizes")
     return list(sizes)
 
 
@@ -134,12 +131,12 @@ def validate(config: ExperimentConfig) -> list[str]:
         errors.append(f"unknown experiment {config.experiment!r}")
     settings = spec.settings if spec else ()
     if not config.ns:
-        errors.append(MISSING["ns"])
+        errors.append("no system size given (use --n or --n-range)")
     outside = [n for n in config.ns if not N_MIN <= n <= N_MAX]
     if outside:
         errors.append(f"{len(outside)} system size(s) outside supported range [{N_MIN}, {N_MAX}]: smallest n={min(outside)}, largest n={max(outside)}")
     if "epsilons" in settings and not config.epsilons:
-        errors.append(MISSING["epsilons"])
+        errors.append("no error budget given (use --epsilon or --epsilon-list)")
     for eps in config.epsilons:
         if not 0.0 < eps < 1.0:
             errors.append(f"epsilon={eps} outside (0, 1)")
@@ -183,6 +180,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     if not config.out:
         outdir = os.environ.get(ENV_OUTDIR, ".")
         config.out = os.path.join(outdir, f"{config.experiment}.csv")
+    for path in (config.out, sidecar_path(config.out)):
+        if os.path.isdir(path):
+            errors.append(f"output path {path} is a directory")
     return errors
 
 
@@ -435,37 +435,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config_file(args: argparse.Namespace) -> tuple[list[str], set[str]]:
-    """Fill the flags not given from ``args.config``; returns the errors and
-    the ExperimentConfig fields whose config key failed (all of them when
-    the file itself fails)."""
+def _merge_config_file(args: argparse.Namespace) -> list[str]:
+    """Fill the flags not given from ``args.config``; returns its errors."""
     if args.config is None:
-        return [], set()
-    every = {setting for setting, _ in FLAGS.values()}
+        return []
     try:
         with open(args.config) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        return [f"cannot read config file {args.config}: {err}"], every
+        return [f"cannot read config file {args.config}: {err}"]
     if not isinstance(data, dict):
-        return [f"config file {args.config} must hold a JSON object, got {type(data).__name__}"], every
-    errors, failed = [], set()
+        return [f"config file {args.config} must hold a JSON object, got {type(data).__name__}"]
+    errors = []
     # every flag of this subcommand but --config itself may come from the file
     keys = set(vars(args)) - {"experiment", "config"}
-    flags = {flag[2:].replace("-", "_"): (setting, kwargs.get("type", str)) for flag, (setting, kwargs) in FLAGS.items()}
+    converters = {flag[2:].replace("-", "_"): kwargs.get("type", str) for flag, (_, kwargs) in FLAGS.items()}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in keys:
             errors.append(f"unknown config key {key!r}")
         elif getattr(args, dest) is None:
-            setting, convert = flags[dest]
+            convert = converters[dest]
             try:
                 setattr(args, dest, _config_value(value, convert))
             except ValueError as err:
                 reason = err if isinstance(err, RangeError) else f"invalid {convert.__name__} value {value!r}"
                 errors.append(f"config key {key!r}: {reason}")
-                failed.add(setting)
-    return errors, failed
+    return errors
 
 
 def _config_value(value, convert):
@@ -482,8 +478,8 @@ def _config_value(value, convert):
     return convert(json.dumps(value))
 
 
-def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str], set[str]]:
-    errors, failed = _merge_config_file(args)
+def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str]]:
+    errors = _merge_config_file(args)
     config = ExperimentConfig(experiment=args.experiment)
     for flag, (setting, _) in FLAGS.items():
         # None: not given, or not a flag of this subcommand
@@ -494,17 +490,17 @@ def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[
             getattr(config, setting).extend(value if isinstance(value, list) else [value])
         else:
             setattr(config, setting, value)
-    return config, errors, failed
+    return config, errors
 
 
 def main(argv=None) -> int:
     args, unread = build_parser().parse_known_args(argv)
-    config, errors, failed = _config_from_args(args)
+    config, errors = _config_from_args(args)
+    # a config file that fails ends the checks: the settings it failed to give would read as missing
+    checked = [] if errors else validate(config)
     if unread:
         errors.append(f"{args.experiment} does not take: {' '.join(unread)}")
-    # a setting whose config key failed has its error already; it is not reported missing too
-    reported = {MISSING.get(setting) for setting in failed}
-    errors.extend(err for err in validate(config) if err not in reported)
+    errors += checked
     if errors:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)

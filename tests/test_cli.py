@@ -35,6 +35,9 @@ def test_parse_int_range():
     for text in ("1..81", "1..1000000000000"):
         with pytest.raises(ValueError):
             cli.parse_int_range(text)
+    # an empty range is refused, not read as no size given
+    with pytest.raises(ValueError, match="range 16..8 holds no sizes"):
+        cli.parse_int_range("16..8")
 
 
 def test_validate_collects_all_violations():
@@ -60,15 +63,24 @@ def test_out_of_range_sizes_make_one_error_line(n_range, message, tmp_path, caps
     assert len(errors) == 1 and message in errors[0]
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_refused_range_keeps_its_reason(source, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "source, text, reason",
+    [
+        ("flag", "1..200000", "range holds 200000 sizes, more than the 80 in [1, 80]"),
+        ("config", "1..200000", "range holds 200000 sizes, more than the 80 in [1, 80]"),
+        ("flag", "16..8", "range 16..8 holds no sizes"),
+        ("config", "16..8", "range 16..8 holds no sizes"),
+    ],
+    ids=["flag", "config", "flag-empty", "config-empty"],
+)
+def test_refused_range_keeps_its_reason(source, text, reason, tmp_path, capsys):
     out = tmp_path / "a.csv"
     args = ["analytic-depth", "--epsilon", "0.1", "--out", str(out)]
     if source == "flag":
-        args += ["--n-range", "1..200000"]
+        args += ["--n-range", text]
     else:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_range": "1..200000"}))
+        cfg.write_text(json.dumps({"n_range": text}))
         args += ["--config", str(cfg)]
     try:
         code = cli.main(args)
@@ -76,7 +88,8 @@ def test_refused_range_keeps_its_reason(source, tmp_path, capsys):
         code = stop.code
     assert code == cli.EXIT_USAGE
     assert not out.exists()
-    assert "range holds 200000 sizes, more than the 80 in [1, 80]" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and reason in errors[0]
 
 
 @pytest.mark.parametrize(
@@ -98,6 +111,58 @@ def test_failed_config_key_is_not_also_missing(text, message, tmp_path, capsys):
     assert not out.exists()
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0]
+
+
+def test_failed_config_file_ends_the_checks(tmp_path, capsys):
+    # --order 3 breaks a rule too, but only the config key's error is reported
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 10, "epsilon_list": "0.1,x"}')
+    out = tmp_path / "a.csv"
+    assert cli.main(["analytic-depth", "--config", str(cfg), "--order", "3", "--out", str(out)]) == cli.EXIT_USAGE
+    assert not out.exists()
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["error: config key 'epsilon_list': invalid parse_float_list value '0.1,x'"]
+
+
+@pytest.mark.parametrize("out, directory", [("out", "out"), ("x.csv", "x.json")], ids=["csv", "sidecar"])
+def test_output_path_that_is_a_directory_is_refused(out, directory, tmp_path, capsys):
+    # refused before any cell runs, so no CSV is left without its sidecar
+    (tmp_path / directory).mkdir()
+    assert cli.main(["analytic-depth", "--n", "10", "--epsilon", "0.1", "--out", str(tmp_path / out)]) == cli.EXIT_USAGE
+    assert f"output path {tmp_path / directory} is a directory" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["depth-search", "--n", "6", "--epsilon", "0.1", "--order", "3"], None, "--order must be an even integer >= 2 or 'auto', got 3"),
+        (["depth-search", "--n", "6", "--epsilon", "0.1", "--order", "four"], None, "--order must be an even integer >= 2 or 'auto', got 'four'"),
+        (["ratio-sweep", "--n", "6", "--epsilon", "0.1", "--orders", "2,3"], None, "admissible orders must be even integers >= 2, got 3"),
+        (["overlap-trace", "--n", "6", "--epsilon", "0.1", "--samples", "1"], None, "--samples must be >= 2, got 1"),
+        (["depth-search", "--n", "6", "--epsilon", "0.1", "--iterations", "0"], None, "--iterations must be >= 1, got 0"),
+        (["grover-curve", "--n", "6", "--k-max", "0"], None, "--k-max must be >= 1, got 0"),
+        # argparse's choices refuse it on the command line; a config file reaches validate
+        (["overlap-trace"], {"n": 6, "epsilon": 0.1, "spacing": "bogus"}, "--spacing must be linear or geometric, got 'bogus'"),
+    ],
+    ids=["order-odd", "order-text", "orders-odd", "samples", "iterations", "k-max", "spacing-from-config"],
+)
+def test_validate_refusals(args, config, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [*args, "--config", str(cfg)]
+    assert cli.main([*args, "--out", str(out)]) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_out_keeps_a_separate_sidecar(tmp_path):
+    out = tmp_path / "x.json"
+    assert cli.main(["grover-curve", "--n", "3", "--k-max", "2", "--out", str(out)]) == cli.EXIT_OK
+    assert read_csv(out)[0] == ["iteration", "overlap", "overlap_closed_form"]
+    assert (tmp_path / "x.json.meta.json").exists()
 
 
 def test_overlap_trace_schema(tmp_path):

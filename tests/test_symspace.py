@@ -81,6 +81,9 @@ def test_evolve_single_qubit_closed_form():
     # exp(-i X t) (1,0) = (cos t, -i sin t)
     out = trotter.factors_operator(1, [(MIXER, math.pi / 2)], alpha=1.0).entries @ basis_state(1, 0).amp
     assert np.allclose(out, [0.0, -1.0j], atol=1e-12)
+    # a factor names one of the two generators
+    with pytest.raises(ValueError, match="unknown generator tag 'Z'"):
+        trotter.factors_operator(1, [("Z", 1.0)], alpha=1.0)
 
 
 def _evolution(h: np.ndarray, t: float) -> symspace.SymOperator:

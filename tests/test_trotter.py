@@ -28,6 +28,9 @@ def test_suzuki_rejects_bad_order():
             trotter.step_operator(4, q, 1.0, 1)
         with pytest.raises(ValueError):
             trotter.trotterized_state(4, q, 1.0, 1)
+    # and so must a step count below 1, which divides t
+    with pytest.raises(ValueError, match="step count must be an integer >= 1, got 0"):
+        trotter.step_operator(4, 2, 1.0, 0)
 
 
 def test_suzuki_order_four_middle_block():
@@ -161,6 +164,8 @@ def test_overlap_trace_geometric_spacing():
     assert steps == sorted(steps)
     with pytest.raises(ValueError):
         trotter.overlap_trace(8, 2, 1.0, 4, samples=1)
+    with pytest.raises(ValueError, match="spacing must be 'linear' or 'geometric', got 'bogus'"):
+        trotter.overlap_trace(8, 2, 1.0, 4, samples=3, spacing="bogus")
 
 
 def test_overlap_trace_ends_at_r_past_float_precision():
