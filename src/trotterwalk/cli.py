@@ -183,6 +183,12 @@ def validate(config: ExperimentConfig) -> list[str]:
     for path in (config.out, sidecar_path(config.out)):
         if os.path.isdir(path):
             errors.append(f"output path {path} is a directory")
+    # write_csv makes the output's missing directories, under an existing one
+    parent = os.path.dirname(os.path.abspath(config.out))
+    while not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        errors.append(f"output path {config.out} lies under {parent}, which is not a directory")
     return errors
 
 

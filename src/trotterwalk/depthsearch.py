@@ -24,7 +24,7 @@ import numpy as np
 from . import bounds, ctqw, symspace, trotter
 
 DEFAULT_ITERATIONS = 15
-DEFAULT_D_CAP = 4096
+D_CAP = 4096  # the level-0 scan tries d = 1..1+D_CAP; read when a search runs
 SWEEP_ORDERS = (2, 4, 6, 8)
 
 
@@ -36,16 +36,6 @@ def reference_overlap(n: int) -> float:
 
 class DepthSearchError(RuntimeError):
     """Raised when the level-0 d-scan exhausts its budget without acceptance."""
-
-    def __init__(self, n, q, epsilon, level, scanned, best_overlap, threshold):
-        self.n, self.q, self.epsilon = n, q, epsilon
-        self.level, self.scanned = level, scanned
-        self.best_overlap, self.threshold = best_overlap, threshold
-        super().__init__(
-            f"no accepted step count for n={n}, q={q}, eps={epsilon}: "
-            f"scanned {scanned} multipliers at level {level}, best overlap "
-            f"{best_overlap:.6f} < threshold {threshold:.6f}"
-        )
 
 
 @dataclass(frozen=True)
@@ -73,12 +63,11 @@ def numeric_optimal_depth(
     q: int,
     epsilon_overlap: float,
     refinement_iterations: int = DEFAULT_ITERATIONS,
-    d_cap: int = DEFAULT_D_CAP,
 ) -> DepthSearchResult:
     """Search for a depth reaching the walk overlap within epsilon.
 
     Deterministic in all arguments.  Level 0 scans the step multiplier
-    d = 1..1+d_cap until |<e_0|S_q^r|+>|^2 >= reference - epsilon, and raises
+    d = 1..1+D_CAP until |<e_0|S_q^r|+>|^2 >= reference - epsilon, and raises
     DepthSearchError if none passes.  Each of the other
     refinement_iterations - 1 levels halves the resolution: it tries
     d -> 2d - 1 and otherwise keeps d -> 2d, the step count already
@@ -89,7 +78,7 @@ def numeric_optimal_depth(
     monotone in r, and the result is the search's first crossing on its
     grid: at (44, 8, 0.01) r = 0.727 r_final also meets the budget.
     """
-    search = _depth_search(n, q, epsilon_overlap, refinement_iterations, d_cap, {})
+    search = _depth_search(n, q, epsilon_overlap, refinement_iterations, {})
     try:
         while True:
             next(search)
@@ -98,7 +87,7 @@ def numeric_optimal_depth(
 
 
 def _depth_search(
-    n: int, q: int, epsilon_overlap: float, refinement_iterations: int, d_cap: int, overlaps: dict[int, float]
+    n: int, q: int, epsilon_overlap: float, refinement_iterations: int, overlaps: dict[int, float]
 ) -> Generator[int, None, DepthSearchResult]:
     """The search of ``numeric_optimal_depth``, one rejected step count at a time.
 
@@ -114,8 +103,6 @@ def _depth_search(
         raise ValueError(f"overlap budget must lie in (0, 1), got {epsilon_overlap}")
     if refinement_iterations < 1:
         raise ValueError(f"refinement iterations must be >= 1, got {refinement_iterations}")
-    if d_cap < 0:
-        raise ValueError(f"scan budget d_cap must be >= 0, got {d_cap}")
     stages = trotter.stage_count(q)
     threshold = reference_overlap(n) - epsilon_overlap
     ts = ctqw.t_star(n)
@@ -129,8 +116,9 @@ def _depth_search(
         used[r] = hit
         return hit
 
-    # phase 1: scan d = 1..1+d_cap at level 0
-    for d in range(1, d_cap + 2):
+    # phase 1: scan d = 1..1+D_CAP at level 0
+    scanned = D_CAP + 1
+    for d in range(1, scanned + 1):
         r = _steps_at(n, d, 0)
         if overlap_at(r) >= threshold:
             break
@@ -138,10 +126,14 @@ def _depth_search(
         # later levels refine an accepted d' > d to no less than
         # (d' - 1) * 2^(n/2), and a rejected r stays rejected.
         # The last d yields nothing, so an exhausted scan raises at once.
-        if d <= d_cap:
+        if d < scanned:
             yield stages * (r + 1)
     else:
-        raise DepthSearchError(n, q, epsilon_overlap, 0, d_cap + 1, max(used.values()), threshold)
+        raise DepthSearchError(
+            f"no accepted step count for n={n}, q={q}, eps={epsilon_overlap}: "
+            f"scanned {scanned} multipliers at level 0, best overlap "
+            f"{max(used.values()):.6f} < threshold {threshold:.6f}"
+        )
     # phase 2: probe 2d - 1 once; 2d repeats the step count accepted one level up
     for level in range(1, refinement_iterations):
         r = _steps_at(n, 2 * d - 1, level)
@@ -218,7 +210,6 @@ def sweep_cell(
     epsilon: float,
     orders=SWEEP_ORDERS,
     refinement_iterations: int = DEFAULT_ITERATIONS,
-    d_cap: int = DEFAULT_D_CAP,
 ) -> tuple[SweepRecord | None, list[CellFailure]]:
     """Depth comparison for one cell: numeric minimum over orders vs closed form.
 
@@ -236,13 +227,13 @@ def sweep_cell(
 
     Orders whose search fails are skipped.  A search fails only in its
     level-0 scan, which implies that order needs more than
-    (d_cap+1) * 2^(n/2) steps, so failures that provably cannot beat the
+    (D_CAP+1) * 2^(n/2) steps, so failures that provably cannot beat the
     best surviving depth are dropped as benign; only decisive failures are
     returned, in the order of ``orders``.  An unfinished order could only
     have failed later in that scan, where the bound exceeds the best depth
     too.  The record is None if every order failed.
     """
-    return sweep_cells(n, [epsilon], orders, refinement_iterations, d_cap)[0]
+    return sweep_cells(n, [epsilon], orders, refinement_iterations)[0]
 
 
 def sweep_cells(
@@ -250,7 +241,6 @@ def sweep_cells(
     epsilons,
     orders=SWEEP_ORDERS,
     refinement_iterations: int = DEFAULT_ITERATIONS,
-    d_cap: int = DEFAULT_D_CAP,
 ) -> list[tuple[SweepRecord | None, list[CellFailure]]]:
     """``sweep_cell`` at one size for each budget in ``epsilons``, in that order.
 
@@ -261,19 +251,17 @@ def sweep_cells(
     if not orders:
         raise ValueError("orders must be non-empty")
     overlaps: list[dict[int, float]] = [{} for _ in orders]
-    return [_best_first(n, eps, orders, refinement_iterations, d_cap, overlaps) for eps in epsilons]
+    return [_best_first(n, eps, orders, refinement_iterations, overlaps) for eps in epsilons]
 
 
 def _best_first(
-    n: int, epsilon: float, orders, refinement_iterations: int, d_cap: int, overlaps: list[dict[int, float]]
+    n: int, epsilon: float, orders, refinement_iterations: int, overlaps: list[dict[int, float]]
 ) -> tuple[SweepRecord | None, list[CellFailure]]:
     """The best-first search of ``sweep_cell``; ``overlaps[rank]`` holds the overlaps of ``orders[rank]``."""
-    searches = [
-        _depth_search(n, q, epsilon, refinement_iterations, d_cap, overlaps[rank]) for rank, q in enumerate(orders)
-    ]
+    searches = [_depth_search(n, q, epsilon, refinement_iterations, overlaps[rank]) for rank, q in enumerate(orders)]
     heap = [(trotter.stage_count(q), rank) for rank, q in enumerate(orders)]
     heapq.heapify(heap)
-    failures: list[tuple[int, CellFailure, float]] = []
+    failures: dict[int, CellFailure] = {}  # by rank in orders
     best: tuple[int, int] | None = None  # (p, rank in orders) of the best depth so far
     while heap and (best is None or heap[0][0] <= best[0]):
         _, rank = heapq.heappop(heap)
@@ -283,16 +271,15 @@ def _best_first(
             found = (done.value.p_numerical, rank)
             best = found if best is None else min(best, found)
         except DepthSearchError as err:
-            q = orders[rank]
-            p_lower = trotter.stage_count(q) * _steps_at(n, d_cap + 1, 0)
-            failures.append((rank, CellFailure(n=n, epsilon=epsilon, q=q, message=str(err)), p_lower))
+            failures[rank] = CellFailure(n=n, epsilon=epsilon, q=orders[rank], message=str(err))
         else:
             heapq.heappush(heap, (bound, rank))
-    failures.sort(key=lambda f: f[0])
+    failed = [failures[rank] for rank in sorted(failures)]
     if best is None:
-        return None, [f for _, f, _ in failures]
+        return None, failed
     p_best, rank_best = best
-    decisive = [f for _, f, p_lower in failures if p_lower <= p_best]
+    # a failed order's depth exceeds stages(q) times the last step count its scan rejected
+    decisive = [f for f in failed if trotter.stage_count(f.q) * _steps_at(n, D_CAP + 1, 0) <= p_best]
     p_analytic = bounds.analytic_depth_closed(n, epsilon)
     record = SweepRecord(
         n=n,

@@ -133,6 +133,15 @@ def test_output_path_that_is_a_directory_is_refused(out, directory, tmp_path, ca
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("out", ["afile/x.csv", "afile/sub/x.csv"], ids=["parent", "ancestor"])
+def test_output_path_under_a_file_is_refused(out, tmp_path, capsys):
+    # refused before any cell runs, not when the CSV's directory is made
+    (tmp_path / "afile").write_text("")
+    assert cli.main(["analytic-depth", "--n", "10", "--epsilon", "0.1", "--out", str(tmp_path / out)]) == cli.EXIT_USAGE
+    assert f"output path {tmp_path / out} lies under {tmp_path / 'afile'}, which is not a directory" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
 @pytest.mark.parametrize(
     "args, config, message",
     [
@@ -453,6 +462,20 @@ def test_partial_failure_exit_code(tmp_path, monkeypatch):
     assert code == cli.EXIT_PARTIAL
     errors = read_sidecar(out)["errors"]
     assert [set(e) for e in errors] == [{"n", "epsilon", "q", "message"}] * 2 + [{"n", "epsilon", "message"}]
+
+
+@pytest.mark.parametrize("experiment, orders", [("depth-search", ["--order", "2"]), ("ratio-sweep", ["--orders", "2,4"])])
+def test_failed_cells_through_the_pool(experiment, orders, tmp_path, monkeypatch):
+    # with a level-0 scan of d = 1 only, q = 2 fails in every cell (in
+    # ratio-sweep decisively, beside q = 4); the forked child computes
+    # n = 8 and the calling process n = 10
+    monkeypatch.setattr(depthsearch, "D_CAP", 0)
+    out = tmp_path / "fail.csv"
+    args = ["--n-range", "8..10:2", "--epsilon-list", "0.01,0.001", *orders, "--workers", "2", "--out", str(out)]
+    assert cli.main([experiment, *args]) == cli.EXIT_PARTIAL
+    errors = read_sidecar(out)["errors"]
+    assert [(e["n"], e["epsilon"], e["q"]) for e in errors] == [(8, 0.001, 2), (8, 0.01, 2), (10, 0.001, 2), (10, 0.01, 2)]
+    assert all("scanned 1 multipliers at level 0" in e["message"] for e in errors)
 
 
 def test_console_entry_point(tmp_path):

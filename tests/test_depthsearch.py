@@ -1,3 +1,8 @@
+import multiprocessing
+import pickle
+import re
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -104,34 +109,52 @@ def test_numeric_depth_rejects_zero_iterations():
         depthsearch.numeric_optimal_depth(8, 2, 0.1, refinement_iterations=0)
 
 
-def test_numeric_depth_rejects_negative_d_cap():
-    with pytest.raises(ValueError, match="d_cap must be >= 0"):
-        depthsearch.numeric_optimal_depth(8, 2, 0.1, d_cap=-1)
-    with pytest.raises(ValueError, match="d_cap must be >= 0"):
-        depthsearch.sweep_cell(8, 0.1, d_cap=-1)
-
-
-def test_zero_d_cap_refines_past_the_first_level():
+def test_zero_d_cap_refines_past_the_first_level(monkeypatch):
     # level 0 probes d = 1 only; every later level probes 2d' - 1 and 2d',
     # and 2d' repeats the step count accepted one level up
-    res = depthsearch.numeric_optimal_depth(4, 2, 0.1, d_cap=0)
+    monkeypatch.setattr(depthsearch, "D_CAP", 0)
+    res = depthsearch.numeric_optimal_depth(4, 2, 0.1)
     assert res.level == depthsearch.DEFAULT_ITERATIONS - 1
     assert res.p_numerical == 3
-    record, failures = depthsearch.sweep_cell(4, 0.1, d_cap=0)
+    record, failures = depthsearch.sweep_cell(4, 0.1)
     assert (record.q, record.p_numerical, failures) == (2, 3, [])
 
 
-def test_numeric_depth_failure_diagnostics():
+FAILURE_MESSAGE = re.compile(
+    r"no accepted step count for n=10, q=2, eps=0\.001: scanned (\d+) multipliers at level 0, "
+    r"best overlap (\d\.\d{6}) < threshold (\d\.\d{6})"
+)
+
+
+def test_numeric_depth_failure_diagnostics(monkeypatch):
     # a scan budget of zero cannot move past d=1, which is insufficient here
+    monkeypatch.setattr(depthsearch, "D_CAP", 0)
     with pytest.raises(depthsearch.DepthSearchError) as err:
-        depthsearch.numeric_optimal_depth(10, 2, 0.001, d_cap=0)
-    assert err.value.n == 10
-    assert err.value.best_overlap < err.value.threshold
+        depthsearch.numeric_optimal_depth(10, 2, 0.001)
+    scanned, best, threshold = FAILURE_MESSAGE.fullmatch(str(err.value)).groups()
+    assert scanned == "1"
+    assert float(best) < float(threshold)
+    assert float(threshold) == pytest.approx(depthsearch.reference_overlap(10) - 0.001, abs=5e-7)
+
+
+def test_depth_search_error_crosses_processes(monkeypatch):
+    # a pool worker pickles the error it raises; the forked child inherits the budget
+    monkeypatch.setattr(depthsearch, "D_CAP", 0)
+    with pytest.raises(depthsearch.DepthSearchError) as err:
+        depthsearch.numeric_optimal_depth(10, 2, 0.001)
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert type(copy) is depthsearch.DepthSearchError and str(copy) == str(err.value)
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork")) as pool:
+        future = pool.submit(depthsearch.numeric_optimal_depth, 10, 2, 0.001)
+        with pytest.raises(depthsearch.DepthSearchError) as remote:
+            future.result()
+    assert str(remote.value) == str(err.value)
 
 
 @pytest.mark.parametrize("d_cap", [0, 2])
 def test_depth_search_error_counts_evaluated_multipliers(d_cap, monkeypatch):
-    # the level-0 scan evaluates d = 1 through 1 + d_cap
+    # the level-0 scan evaluates d = 1 through 1 + D_CAP
+    monkeypatch.setattr(depthsearch, "D_CAP", d_cap)
     calls = []
     original = depthsearch.trotter.trotterized_state
 
@@ -141,9 +164,9 @@ def test_depth_search_error_counts_evaluated_multipliers(d_cap, monkeypatch):
 
     monkeypatch.setattr(depthsearch.trotter, "trotterized_state", counted)
     with pytest.raises(depthsearch.DepthSearchError) as err:
-        depthsearch.numeric_optimal_depth(10, 2, 0.001, d_cap=d_cap)
-    assert err.value.scanned == len(set(calls)) == d_cap + 1
-    assert f"scanned {d_cap + 1} multipliers at level 0" in str(err.value)
+        depthsearch.numeric_optimal_depth(10, 2, 0.001)
+    assert len(set(calls)) == d_cap + 1
+    assert FAILURE_MESSAGE.fullmatch(str(err.value)).group(1) == str(d_cap + 1)
 
 
 def test_grover_curve_small_cases():
@@ -183,8 +206,9 @@ def test_sweep_cell_record():
     assert record.q in (2, 4)
 
 
-def test_sweep_cell_all_orders_fail():
-    record, failures = depthsearch.sweep_cell(10, 0.001, orders=(2,), d_cap=0)
+def test_sweep_cell_all_orders_fail(monkeypatch):
+    monkeypatch.setattr(depthsearch, "D_CAP", 0)
+    record, failures = depthsearch.sweep_cell(10, 0.001, orders=(2,))
     assert record is None
     assert len(failures) == 1
     assert failures[0].q == 2
@@ -200,17 +224,17 @@ def test_ratio_sweep_ordering_and_fields():
         depthsearch.ratio_sweep([], [0.1])
 
 
-def exhaustive_sweep_cell(n, epsilon, orders=depthsearch.SWEEP_ORDERS, d_cap=depthsearch.DEFAULT_D_CAP):
-    """Reference for sweep_cell: every order searched in full, in the given order.
+def exhaustive_sweep_cell(n, epsilon, orders=depthsearch.SWEEP_ORDERS):
+    """Reference for sweep_cell: every order searched in full, in the given order, at the current D_CAP.
 
     Returns the record, the decisive failures and the benign ones.
     """
     best, failures = None, []
     for q in orders:
         try:
-            res = depthsearch.numeric_optimal_depth(n, q, epsilon, d_cap=d_cap)
+            res = depthsearch.numeric_optimal_depth(n, q, epsilon)
         except depthsearch.DepthSearchError as err:
-            p_lower = trotter.stage_count(q) * depthsearch._steps_at(n, d_cap + 1, err.level)
+            p_lower = trotter.stage_count(q) * depthsearch._steps_at(n, depthsearch.D_CAP + 1, 0)
             failures.append((depthsearch.CellFailure(n, epsilon, q, str(err)), p_lower))
             continue
         if best is None or res.p_numerical < best.p_numerical:  # ties keep the earlier order
@@ -242,16 +266,17 @@ def test_sweep_cell_matches_exhaustive_on_criterion_07_grid(n):
         (14, 0.001, (8, 2, 4), 2, "decisive"),
         (4, 0.1, depthsearch.SWEEP_ORDERS, 0, "none"),
         (10, 0.001, (2,), 0, "decisive"),
-        (16, 0.01, (8, 2, 4), depthsearch.DEFAULT_D_CAP, "none"),
-        (24, 0.01, (8, 2, 4), depthsearch.DEFAULT_D_CAP, "none"),
-        (20, 0.01, (6,), depthsearch.DEFAULT_D_CAP, "none"),
+        (16, 0.01, (8, 2, 4), depthsearch.D_CAP, "none"),
+        (24, 0.01, (8, 2, 4), depthsearch.D_CAP, "none"),
+        (20, 0.01, (6,), depthsearch.D_CAP, "none"),
     ],
 )
-def test_sweep_cell_matches_exhaustive_with_failures_and_orders(n, eps, orders, d_cap, kind):
-    record, decisive, benign = exhaustive_sweep_cell(n, eps, orders, d_cap)
+def test_sweep_cell_matches_exhaustive_with_failures_and_orders(n, eps, orders, d_cap, kind, monkeypatch):
+    monkeypatch.setattr(depthsearch, "D_CAP", d_cap)
+    record, decisive, benign = exhaustive_sweep_cell(n, eps, orders)
     # each case exercises the failure handling it is labelled with
     assert kind == ("decisive" if decisive else "benign" if benign else "none")
-    assert depthsearch.sweep_cell(n, eps, orders, d_cap=d_cap) == (record, decisive)
+    assert depthsearch.sweep_cell(n, eps, orders) == (record, decisive)
 
 
 @pytest.mark.parametrize("n, q_best", [(38, 6), (44, 8)])
