@@ -35,6 +35,10 @@ ENV_OUTDIR = "TROTTERWALK_OUTDIR"
 
 N_MIN, N_MAX = 1, 80
 
+# the largest --order: over n <= N_MAX, the ln of bound-check's error bound at
+# r = 4 peaks at 669.2 for q = 16 and at 778.0 for q = 18, past ln(float max) = 709.8
+Q_MAX = 16
+
 # bound-check measures the Trotter error at r = 2^j for each of these j
 BOUND_CHECK_R_EXPONENTS = range(2, 15)
 
@@ -53,7 +57,6 @@ class ExperimentConfig:
     orders: list[int] = field(default_factory=lambda: list(depthsearch.SWEEP_ORDERS))
     samples: int = 41
     spacing: str = "linear"
-    iterations: int = depthsearch.DEFAULT_ITERATIONS
     k_max: int | None = None
     out: str = ""
     workers: int = 0
@@ -143,10 +146,10 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.order != "auto":
         try:
             q = int(config.order)
-            if q < 2 or q % 2:
-                errors.append(f"--order must be an even integer >= 2 or 'auto', got {config.order}")
+            if not 2 <= q <= Q_MAX or q % 2:
+                errors.append(f"--order must be an even integer in [2, {Q_MAX}] or 'auto', got {config.order}")
         except ValueError:
-            errors.append(f"--order must be an even integer >= 2 or 'auto', got {config.order!r}")
+            errors.append(f"--order must be an even integer in [2, {Q_MAX}] or 'auto', got {config.order!r}")
     if not config.orders:
         errors.append("no admissible order given (--orders is empty)")
     if len(set(config.orders)) != len(config.orders):
@@ -160,8 +163,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         errors.append(f"overlap-trace would write {config.samples} rows, above the cap of {MAX_ROWS}; set a smaller --samples")
     if config.spacing not in ("linear", "geometric"):
         errors.append(f"--spacing must be linear or geometric, got {config.spacing!r}")
-    if config.iterations < 1:
-        errors.append(f"--iterations must be >= 1, got {config.iterations}")
     if "k_max" in settings and config.k_max is None and len(config.ns) == 1 and N_MIN <= config.ns[0] <= N_MAX:
         config.k_max = ceil(pi / (4.0 * asin(2.0 ** (-0.5 * config.ns[0]))))
     if config.k_max is not None and config.k_max < 1:
@@ -229,16 +230,16 @@ def run_overlap_trace(config: ExperimentConfig):
 
 
 def _depth_search_cell(args):
-    n, eps, q, iterations = args
+    n, eps, q = args
     try:
-        res = depthsearch.numeric_optimal_depth(n, q, eps, iterations)
+        res = depthsearch.numeric_optimal_depth(n, q, eps)
     except depthsearch.DepthSearchError as err:
         return depthsearch.CellFailure(n=n, epsilon=eps, q=q, message=str(err))
     return res
 
 
 def run_depth_search(config: ExperimentConfig):
-    cells = [(n, eps, _resolve_order(config, n, eps), config.iterations) for n, eps in _grid(config)]
+    cells = [(n, eps, _resolve_order(config, n, eps)) for n, eps in _grid(config)]
     results = _map_cells(_depth_search_cell, cells, config.workers)
     rows, errors = [], []
     for res in results:
@@ -278,15 +279,15 @@ def run_analytic_depth(config: ExperimentConfig):
 
 
 def _ratio_sweep_size(args):
-    n, epsilons, orders, iterations = args
-    return [(n, eps, *cell) for eps, cell in zip(epsilons, depthsearch.sweep_cells(n, epsilons, orders, iterations))]
+    n, epsilons, orders = args
+    return [(n, eps, *cell) for eps, cell in zip(epsilons, depthsearch.sweep_cells(n, epsilons, orders))]
 
 
 def run_ratio_sweep(config: ExperimentConfig):
     # one task per size, largest first so the longest tasks leave no tail;
     # reversed, the results are in (n, epsilon) order
     epsilons = sorted(set(config.epsilons))
-    tasks = [(n, epsilons, tuple(config.orders), config.iterations) for n in sorted(set(config.ns), reverse=True)]
+    tasks = [(n, epsilons, tuple(config.orders)) for n in sorted(set(config.ns), reverse=True)]
     results = _map_cells(_ratio_sweep_size, tasks, config.workers)
     rows, errors = [], []
     for n, eps, record, failures in (cell for size in reversed(results) for cell in size):
@@ -343,11 +344,11 @@ EXPERIMENTS = {
         run_overlap_trace, "target overlap through a fixed-depth trotterized sequence", ("epsilons", "order", "samples", "spacing")
     ),
     "depth-search": Experiment(
-        run_depth_search, "numeric optimal-depth search at an overlap budget", ("epsilons", "order", "iterations", "workers")
+        run_depth_search, "numeric optimal-depth search at an overlap budget", ("epsilons", "order", "workers")
     ),
     "analytic-depth": Experiment(run_analytic_depth, "analytic depth bound, optimal order, required steps", ("epsilons", "order")),
     "ratio-sweep": Experiment(
-        run_ratio_sweep, "analytic vs numeric depth ratios over (n, epsilon) cells", ("epsilons", "orders", "iterations", "workers")
+        run_ratio_sweep, "analytic vs numeric depth ratios over (n, epsilon) cells", ("epsilons", "orders", "workers")
     ),
     "grover-curve": Experiment(run_grover_curve, "Grover iteration overlaps against the closed form", ("k_max",)),
     "bound-check": Experiment(run_bound_check, "measured Trotter error against the analytic bound", ("order",)),
@@ -364,7 +365,6 @@ FLAGS = {
     "--orders": ("orders", {"type": parse_int_list, "help": "admissible orders, e.g. '2,4,6,8'"}),
     "--samples": ("samples", {"type": int, "help": f"trace sample count (at most {MAX_ROWS})"}),
     "--spacing": ("spacing", {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
-    "--iterations": ("iterations", {"type": int, "help": "depth-search refinement iterations"}),
     "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {MAX_ROWS})"}),
     "--workers": ("workers", {"type": int, "help": "processes that compute, the calling one among them (default or 0: one per usable CPU)"}),
     "--out": ("out", {"help": f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)"}),

@@ -4,7 +4,7 @@ The search asks: how few Trotter steps r keep the trotterized walk's target
 overlap within epsilon of the exact walk's?  Steps are parametrized as
 r = d * 2^(n/2 - l), and the search runs in two phases.  The first scans
 d = 1, 2, ... at l = 0 until the overlap condition holds.  The second
-halves the resolution for a fixed number of further levels: it probes
+halves the resolution for LEVELS - 1 further levels: it probes
 2d - 1 at l + 1 once and, if that is rejected, takes 2d, which repeats the
 step count accepted at l.  epsilon here is an overlap deficit, not
 the spectral budget used by the analytic bounds; sweep records pair the
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds, ctqw, symspace, trotter
 
-DEFAULT_ITERATIONS = 15
+LEVELS = 15  # level 0 and LEVELS - 1 halvings of the step-count grid; read when a search runs
 D_CAP = 4096  # the level-0 scan tries d = 1..1+D_CAP; read when a search runs
 SWEEP_ORDERS = (2, 4, 6, 8)
 
@@ -58,27 +58,22 @@ def _steps_at(n: int, d: int, level: int) -> int:
     return max(1, round(d * 2.0 ** (0.5 * n - level)))
 
 
-def numeric_optimal_depth(
-    n: int,
-    q: int,
-    epsilon_overlap: float,
-    refinement_iterations: int = DEFAULT_ITERATIONS,
-) -> DepthSearchResult:
+def numeric_optimal_depth(n: int, q: int, epsilon_overlap: float) -> DepthSearchResult:
     """Search for a depth reaching the walk overlap within epsilon.
 
     Deterministic in all arguments.  Level 0 scans the step multiplier
     d = 1..1+D_CAP until |<e_0|S_q^r|+>|^2 >= reference - epsilon, and raises
-    DepthSearchError if none passes.  Each of the other
-    refinement_iterations - 1 levels halves the resolution: it tries
-    d -> 2d - 1 and otherwise keeps d -> 2d, the step count already
-    accepted.  The returned depth is r * 5^(q/2-1) at the final step count.
+    DepthSearchError if none passes.  Each of levels 1..LEVELS-1 halves
+    the resolution: it tries d -> 2d - 1 and otherwise keeps d -> 2d, the
+    step count already accepted.  The returned depth is r * 5^(q/2-1) at
+    the step count of level LEVELS - 1.
 
     That is the smallest depth on the dyadic grid only while a rejected step
     count stays rejected, as at q = 2 and 4.  At q = 8 the deficit is not
     monotone in r, and the result is the search's first crossing on its
     grid: at (44, 8, 0.01) r = 0.727 r_final also meets the budget.
     """
-    search = _depth_search(n, q, epsilon_overlap, refinement_iterations, {})
+    search = _depth_search(n, q, epsilon_overlap, {})
     try:
         while True:
             next(search)
@@ -87,7 +82,7 @@ def numeric_optimal_depth(
 
 
 def _depth_search(
-    n: int, q: int, epsilon_overlap: float, refinement_iterations: int, overlaps: dict[int, float]
+    n: int, q: int, epsilon_overlap: float, overlaps: dict[int, float]
 ) -> Generator[int, None, DepthSearchResult]:
     """The search of ``numeric_optimal_depth``, one rejected step count at a time.
 
@@ -101,8 +96,6 @@ def _depth_search(
     trotter._check_order(q)
     if not 0.0 < epsilon_overlap < 1.0:
         raise ValueError(f"overlap budget must lie in (0, 1), got {epsilon_overlap}")
-    if refinement_iterations < 1:
-        raise ValueError(f"refinement iterations must be >= 1, got {refinement_iterations}")
     stages = trotter.stage_count(q)
     threshold = reference_overlap(n) - epsilon_overlap
     ts = ctqw.t_star(n)
@@ -135,14 +128,14 @@ def _depth_search(
             f"{max(used.values()):.6f} < threshold {threshold:.6f}"
         )
     # phase 2: probe 2d - 1 once; 2d repeats the step count accepted one level up
-    for level in range(1, refinement_iterations):
+    for level in range(1, LEVELS):
         r = _steps_at(n, 2 * d - 1, level)
         if overlap_at(r) >= threshold:
             d = 2 * d - 1
         else:
             yield stages * (r + 1)
             d = 2 * d
-    level = refinement_iterations - 1
+    level = LEVELS - 1
     r_final = _steps_at(n, d, level)
     return DepthSearchResult(
         n=n,
@@ -205,12 +198,7 @@ class CellFailure:
     message: str
 
 
-def sweep_cell(
-    n: int,
-    epsilon: float,
-    orders=SWEEP_ORDERS,
-    refinement_iterations: int = DEFAULT_ITERATIONS,
-) -> tuple[SweepRecord | None, list[CellFailure]]:
+def sweep_cell(n: int, epsilon: float, orders=SWEEP_ORDERS) -> tuple[SweepRecord | None, list[CellFailure]]:
     """Depth comparison for one cell: numeric minimum over orders vs closed form.
 
     The numeric depth is the smallest p = stages(q) * r over ``orders``; on
@@ -233,15 +221,10 @@ def sweep_cell(
     have failed later in that scan, where the bound exceeds the best depth
     too.  The record is None if every order failed.
     """
-    return sweep_cells(n, [epsilon], orders, refinement_iterations)[0]
+    return sweep_cells(n, [epsilon], orders)[0]
 
 
-def sweep_cells(
-    n: int,
-    epsilons,
-    orders=SWEEP_ORDERS,
-    refinement_iterations: int = DEFAULT_ITERATIONS,
-) -> list[tuple[SweepRecord | None, list[CellFailure]]]:
+def sweep_cells(n: int, epsilons, orders=SWEEP_ORDERS) -> list[tuple[SweepRecord | None, list[CellFailure]]]:
     """``sweep_cell`` at one size for each budget in ``epsilons``, in that order.
 
     The searches of one order share their overlaps: a step count r gives
@@ -251,14 +234,14 @@ def sweep_cells(
     if not orders:
         raise ValueError("orders must be non-empty")
     overlaps: list[dict[int, float]] = [{} for _ in orders]
-    return [_best_first(n, eps, orders, refinement_iterations, overlaps) for eps in epsilons]
+    return [_best_first(n, eps, orders, overlaps) for eps in epsilons]
 
 
 def _best_first(
-    n: int, epsilon: float, orders, refinement_iterations: int, overlaps: list[dict[int, float]]
+    n: int, epsilon: float, orders, overlaps: list[dict[int, float]]
 ) -> tuple[SweepRecord | None, list[CellFailure]]:
     """The best-first search of ``sweep_cell``; ``overlaps[rank]`` holds the overlaps of ``orders[rank]``."""
-    searches = [_depth_search(n, q, epsilon, refinement_iterations, overlaps[rank]) for rank, q in enumerate(orders)]
+    searches = [_depth_search(n, q, epsilon, overlaps[rank]) for rank, q in enumerate(orders)]
     heap = [(trotter.stage_count(q), rank) for rank, q in enumerate(orders)]
     heapq.heapify(heap)
     failures: dict[int, CellFailure] = {}  # by rank in orders

@@ -1,10 +1,11 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from trotterwalk import bounds, ctqw, symspace, trotter
+from trotterwalk import bounds, cli, ctqw, symspace, trotter
 
 
 def test_delta_bound_value():
@@ -68,6 +69,20 @@ def test_bound_dominates_measurement():
     for j in range(4, 13):
         measured = bounds.spectral_error(n, q, ts, 2**j)
         assert measured <= bounds.trotter_error_bound(q, db, ts, 2**j, 1)
+
+
+def test_error_bound_fits_a_float_up_to_the_cli_order_cap():
+    # bound-check's smallest r gives its largest bound: below ln(float max)
+    # at every order the CLI takes, past it two orders above the cap
+    r = 2 ** cli.BOUND_CHECK_R_EXPONENTS[0]
+    ln_max = math.log(sys.float_info.max)
+
+    def ln_bound(n, q):
+        return bounds.ln_trotter_error_bound(q, bounds.ln_delta_bound(n, q), ctqw.t_star(n), r, trotter.stage_count(q))
+
+    sizes = range(cli.N_MIN, cli.N_MAX + 1)
+    assert max(ln_bound(n, q) for n in sizes for q in range(2, cli.Q_MAX + 1, 2)) < ln_max
+    assert max(ln_bound(n, cli.Q_MAX + 2) for n in sizes) > ln_max
 
 
 def test_analytic_depth_consistency():

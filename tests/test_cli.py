@@ -145,16 +145,18 @@ def test_output_path_under_a_file_is_refused(out, tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, config, message",
     [
-        (["depth-search", "--n", "6", "--epsilon", "0.1", "--order", "3"], None, "--order must be an even integer >= 2 or 'auto', got 3"),
-        (["depth-search", "--n", "6", "--epsilon", "0.1", "--order", "four"], None, "--order must be an even integer >= 2 or 'auto', got 'four'"),
+        (["depth-search", "--n", "6", "--epsilon", "0.1", "--order", "3"], None, "--order must be an even integer in [2, 16] or 'auto', got 3"),
+        (["depth-search", "--n", "6", "--epsilon", "0.1", "--order", "four"], None, "--order must be an even integer in [2, 16] or 'auto', got 'four'"),
+        # at q = 18 the error bound overflows a float: refused before any cell runs
+        (["bound-check", "--n", "4", "--order", "18"], None, "--order must be an even integer in [2, 16] or 'auto', got 18"),
+        (["analytic-depth", "--n", "10", "--epsilon", "0.1", "--order", "18"], None, "--order must be an even integer in [2, 16] or 'auto', got 18"),
         (["ratio-sweep", "--n", "6", "--epsilon", "0.1", "--orders", "2,3"], None, "admissible orders must be even integers >= 2, got 3"),
         (["overlap-trace", "--n", "6", "--epsilon", "0.1", "--samples", "1"], None, "--samples must be >= 2, got 1"),
-        (["depth-search", "--n", "6", "--epsilon", "0.1", "--iterations", "0"], None, "--iterations must be >= 1, got 0"),
         (["grover-curve", "--n", "6", "--k-max", "0"], None, "--k-max must be >= 1, got 0"),
         # argparse's choices refuse it on the command line; a config file reaches validate
         (["overlap-trace"], {"n": 6, "epsilon": 0.1, "spacing": "bogus"}, "--spacing must be linear or geometric, got 'bogus'"),
     ],
-    ids=["order-odd", "order-text", "orders-odd", "samples", "iterations", "k-max", "spacing-from-config"],
+    ids=["order-odd", "order-text", "order-above-cap-bound-check", "order-above-cap-analytic-depth", "orders-odd", "samples", "k-max", "spacing-from-config"],
 )
 def test_validate_refusals(args, config, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -201,7 +203,7 @@ def test_ratio_sweep_reproducible(tmp_path):
     assert all(float(r[5]) > 1 for r in rows)
     # the sidecar records the settings ratio-sweep reads and no others
     meta = read_sidecar(out1)
-    assert set(meta["config"]) == {"experiment", "ns", "out", "epsilons", "orders", "iterations", "workers"}
+    assert set(meta["config"]) == {"experiment", "ns", "out", "epsilons", "orders", "workers"}
     # config.orders records the orders; meta does not repeat them
     assert set(meta["meta"]) == {"epsilon_role"}
 
@@ -230,11 +232,14 @@ def test_depth_search_and_grover(tmp_path):
 
 
 def test_bound_check(tmp_path):
-    out = tmp_path / "bounds.csv"
-    assert cli.main(["bound-check", "--n", "4", "--order", "2", "--out", str(out)]) == 0
-    header, rows = read_csv(out)
-    assert header == ["n", "q", "r", "spectral_error", "error_bound", "within_bound"]
-    assert all(row[5] == "1" for row in rows)
+    # the largest order the CLI takes still gives a finite bound at every r
+    for q in (2, cli.Q_MAX):
+        out = tmp_path / f"bounds_{q}.csv"
+        assert cli.main(["bound-check", "--n", "4", "--order", str(q), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["n", "q", "r", "spectral_error", "error_bound", "within_bound"]
+        assert len(rows) == len(cli.BOUND_CHECK_R_EXPONENTS)
+        assert all(row[5] == "1" for row in rows)
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -372,9 +377,9 @@ def test_config_file_list_flags(tmp_path, capsys):
 # and --config belong to all six
 UNREAD_FLAGS = {
     "overlap-trace": ["--orders", "--iterations", "--k-max", "--workers"],
-    "depth-search": ["--orders", "--samples", "--spacing", "--k-max"],
+    "depth-search": ["--orders", "--samples", "--spacing", "--iterations", "--k-max"],
     "analytic-depth": ["--orders", "--samples", "--spacing", "--iterations", "--k-max", "--workers"],
-    "ratio-sweep": ["--order", "--samples", "--spacing", "--k-max"],
+    "ratio-sweep": ["--order", "--samples", "--spacing", "--iterations", "--k-max"],
     "grover-curve": ["--epsilon", "--epsilon-list", "--order", "--orders", "--samples", "--spacing", "--iterations", "--workers"],
     "bound-check": ["--epsilon", "--epsilon-list", "--orders", "--samples", "--spacing", "--iterations", "--k-max", "--workers"],
 }
@@ -403,7 +408,7 @@ VALID_BASE = {
     "experiment, flag, value",
     [(e, f, FLAG_VALUES[f]) for e, flags in UNREAD_FLAGS.items() for f in flags]
     # an abbreviation of a flag the subcommand has is no spelling of it
-    + [("depth-search", "--iter", "3")],
+    + [("depth-search", "--work", "1")],
 )
 def test_unread_flag_rejected(experiment, flag, value, tmp_path, capsys):
     out = tmp_path / "x.csv"

@@ -104,20 +104,26 @@ def test_numeric_depth_rejects_bad_budget():
         depthsearch.numeric_optimal_depth(8, 3, 0.1)
 
 
-def test_numeric_depth_rejects_zero_iterations():
-    with pytest.raises(ValueError, match="refinement iterations must be >= 1"):
-        depthsearch.numeric_optimal_depth(8, 2, 0.1, refinement_iterations=0)
-
-
 def test_zero_d_cap_refines_past_the_first_level(monkeypatch):
     # level 0 probes d = 1 only; every later level probes 2d' - 1 and 2d',
     # and 2d' repeats the step count accepted one level up
     monkeypatch.setattr(depthsearch, "D_CAP", 0)
     res = depthsearch.numeric_optimal_depth(4, 2, 0.1)
-    assert res.level == depthsearch.DEFAULT_ITERATIONS - 1
+    assert res.level == depthsearch.LEVELS - 1
     assert res.p_numerical == 3
     record, failures = depthsearch.sweep_cell(4, 0.1)
     assert (record.q, record.p_numerical, failures) == (2, 3, [])
+
+
+def test_one_level_search_stops_at_the_scan(monkeypatch):
+    # LEVELS is read when a search runs: with one level the search ends at
+    # the level-0 scan's accepted multiplier
+    monkeypatch.setattr(depthsearch, "LEVELS", 1)
+    res = depthsearch.numeric_optimal_depth(10, 2, 0.05)
+    assert (res.level, res.d, res.evaluations) == (0, 2, 2)
+    assert res.r_final == 64 == depthsearch._steps_at(10, 2, 0)
+    record, _ = depthsearch.sweep_cell(10, 0.05)
+    assert record.p_numerical == 64
 
 
 FAILURE_MESSAGE = re.compile(
