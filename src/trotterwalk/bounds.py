@@ -213,7 +213,7 @@ def spectral_error(n: int, q: int, t: float, r: int) -> float:
     deltas; U - I = V diag(expm1(-i w t)) V^dag keeps its relative precision
     however small w t is.  Both are accurate only to a few t * machine
     epsilon (the phases w*t and the r-fold product round at that level), so
-    the measurement has a floor that grows like 2^(n/2): 1.6e-3 to 2.0e-3 at
+    the measurement has a floor that grows like 2^(n/2): 2.2e-3 to 2.4e-3 at
     n = 80, where t* = 1.7e12, and about 5e-4 at n = 76.
     """
     w, v = ctqw.walk_eigensystem(n, ctqw.alpha_star(n))

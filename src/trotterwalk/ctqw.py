@@ -78,11 +78,17 @@ def gap(n: int) -> GapResult:
 
 
 def ctqw_state(n: int, alpha: float, t: float) -> SymVector:
-    """State exp(-i(alpha*H_x + H_0)t)|+>^n, solved by diagonalization."""
+    """State exp(-i(alpha*H_x + H_0)t)|+>^n, solved by diagonalization.
+
+    Formed as x + V diag(expm1(-i w t)) V^dag x with x = |+>^n, the delta form
+    of ``bounds.spectral_error``: x's small amplitudes (2^(-n/2) at the
+    target) pass through exactly instead of through two products by V.
+    """
     if t < 0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
     w, v = walk_eigensystem(n, alpha)
-    return SymVector(n, v @ (np.exp(-1j * w * t) * (v.conj().T @ symspace.plus_state(n).amp)))
+    x = symspace.plus_state(n).amp
+    return SymVector(n, x + v @ (np.expm1(-1j * w * t) * (v.conj().T @ x)))
 
 
 def ctqw_overlap(n: int, alpha: float, t: float) -> float:

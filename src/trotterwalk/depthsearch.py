@@ -2,13 +2,20 @@
 
 The search asks: how few Trotter steps r keep the trotterized walk's target
 overlap within epsilon of the exact walk's?  Steps are parametrized as
-r = d * 2^(n/2 - l), and the search runs in two phases.  The first scans
-d = 1, 2, ... at l = 0 until the overlap condition holds.  The second
-halves the resolution for LEVELS - 1 further levels: it probes
-2d - 1 at l + 1 once and, if that is rejected, takes 2d, which repeats the
-step count accepted at l.  epsilon here is an overlap deficit, not
-the spectral budget used by the analytic bounds; sweep records pair the
-numeric depth with the closed-form analytic depth at the same nominal value.
+r = d * 2^(n/2 - l), and the search runs in two phases.  The first finds
+the smallest accepted d at l = 0: it probes d = 1, 2, 4, ... (the last
+probe capped at 1 + D_CAP) until the overlap condition holds, then bisects
+between the last rejected d and the accepted one.  The second halves the
+resolution for LEVELS - 1 further levels: it probes 2d - 1 at l + 1 once
+and, if that is rejected, takes 2d, which repeats the step count accepted
+at l.  epsilon here is an overlap deficit, not the spectral budget used by
+the analytic bounds; sweep records pair the numeric depth with the
+closed-form analytic depth at the same nominal value.
+
+Bisection needs a rejected step count to stay rejected.  At level 0 each
+step covers tau = t*/r = pi/(2d) <= pi/2, well below the tau of about 2 to 9
+where the q = 8 deficit oscillates in r; the refinement levels, which can
+reach that window, probe one neighbour at a time instead.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 from . import bounds, ctqw, symspace, trotter
 
 LEVELS = 15  # level 0 and LEVELS - 1 halvings of the step-count grid; read when a search runs
-D_CAP = 4096  # the level-0 scan tries d = 1..1+D_CAP; read when a search runs
+D_CAP = 4096  # the level-0 scan covers d = 1..1+D_CAP; read when a search runs
 SWEEP_ORDERS = (2, 4, 6, 8)
 
 
@@ -61,9 +68,10 @@ def _steps_at(n: int, d: int, level: int) -> int:
 def numeric_optimal_depth(n: int, q: int, epsilon_overlap: float) -> DepthSearchResult:
     """Search for a depth reaching the walk overlap within epsilon.
 
-    Deterministic in all arguments.  Level 0 scans the step multiplier
-    d = 1..1+D_CAP until |<e_0|S_q^r|+>|^2 >= reference - epsilon, and raises
-    DepthSearchError if none passes.  Each of levels 1..LEVELS-1 halves
+    Deterministic in all arguments.  Level 0 finds the smallest step
+    multiplier d in 1..1+D_CAP with |<e_0|S_q^r|+>|^2 >= reference - epsilon,
+    by doubling d from 1 and then bisecting, and raises DepthSearchError if
+    d = 1 + D_CAP fails too.  Each of levels 1..LEVELS-1 halves
     the resolution: it tries d -> 2d - 1 and otherwise keeps d -> 2d, the
     step count already accepted.  The returned depth is r * 5^(q/2-1) at
     the step count of level LEVELS - 1.
@@ -71,7 +79,9 @@ def numeric_optimal_depth(n: int, q: int, epsilon_overlap: float) -> DepthSearch
     That is the smallest depth on the dyadic grid only while a rejected step
     count stays rejected, as at q = 2 and 4.  At q = 8 the deficit is not
     monotone in r, and the result is the search's first crossing on its
-    grid: at (44, 8, 0.01) r = 0.727 r_final also meets the budget.
+    grid: at (44, 8, 0.01) r = 0.727 r_final also meets the budget.  Level
+    0's bisection relies on the same assumption, but only at
+    tau = t*/r <= pi/2, below the tau of about 2 to 9 where q = 8 oscillates.
     """
     search = _depth_search(n, q, epsilon_overlap, {})
     try:
@@ -86,9 +96,9 @@ def _depth_search(
 ) -> Generator[int, None, DepthSearchResult]:
     """The search of ``numeric_optimal_depth``, one rejected step count at a time.
 
-    After each rejected step count r, except the last d of the level-0
-    scan, it yields stages(q) * (r + 1): no depth it can still return is
-    smaller.  It returns the DepthSearchResult or raises DepthSearchError.
+    After each rejected step count r, except at d = 1 + D_CAP, which ends
+    the level-0 scan, it yields stages(q) * (r + 1): no depth it can still
+    return is smaller.  It returns the DepthSearchResult or raises DepthSearchError.
     ``overlaps`` maps step counts to target overlaps at this (n, q); the
     search reads it and adds what it evaluates, so searches at other
     budgets that share it evaluate each step count once.
@@ -109,24 +119,30 @@ def _depth_search(
         used[r] = hit
         return hit
 
-    # phase 1: scan d = 1..1+D_CAP at level 0
+    # phase 1: the smallest accepted d in 1..1+D_CAP at level 0.  Probe
+    # d = 1, 2, 4, ... until one is accepted, then bisect between it and the
+    # last rejected d.  Every step count still reachable exceeds a rejected r:
+    # the search only probes larger d, later levels refine an accepted d' > d
+    # to more than (d' - 1) * 2^(n/2), and a rejected r stays rejected.
+    # d = 1 + D_CAP yields nothing, so an exhausted scan raises at once.
     scanned = D_CAP + 1
-    for d in range(1, scanned + 1):
-        r = _steps_at(n, d, 0)
-        if overlap_at(r) >= threshold:
-            break
-        # Every step count still reachable exceeds r: later d give larger r,
-        # later levels refine an accepted d' > d to no less than
-        # (d' - 1) * 2^(n/2), and a rejected r stays rejected.
-        # The last d yields nothing, so an exhausted scan raises at once.
-        if d < scanned:
+    rejected, d = 0, 1
+    while overlap_at(r := _steps_at(n, d, 0)) < threshold:
+        if d == scanned:
+            raise DepthSearchError(
+                f"no accepted step count for n={n}, q={q}, eps={epsilon_overlap}: "
+                f"scanned {scanned} multipliers at level 0, best overlap "
+                f"{max(used.values()):.6f} < threshold {threshold:.6f}"
+            )
+        yield stages * (r + 1)
+        rejected, d = d, min(2 * d, scanned)
+    while d - rejected > 1:
+        mid = (rejected + d) // 2
+        if overlap_at(r := _steps_at(n, mid, 0)) >= threshold:
+            d = mid
+        else:
             yield stages * (r + 1)
-    else:
-        raise DepthSearchError(
-            f"no accepted step count for n={n}, q={q}, eps={epsilon_overlap}: "
-            f"scanned {scanned} multipliers at level 0, best overlap "
-            f"{max(used.values()):.6f} < threshold {threshold:.6f}"
-        )
+            rejected = mid
     # phase 2: probe 2d - 1 once; 2d repeats the step count accepted one level up
     for level in range(1, LEVELS):
         r = _steps_at(n, 2 * d - 1, level)

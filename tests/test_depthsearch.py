@@ -157,9 +157,12 @@ def test_depth_search_error_crosses_processes(monkeypatch):
     assert str(remote.value) == str(err.value)
 
 
-@pytest.mark.parametrize("d_cap", [0, 2])
+@pytest.mark.parametrize("d_cap", [0, 2, 6])
 def test_depth_search_error_counts_evaluated_multipliers(d_cap, monkeypatch):
-    # the level-0 scan evaluates d = 1 through 1 + D_CAP
+    # the level-0 scan covers d = 1 through 1 + D_CAP, the count its message
+    # names, and evaluates only its doubling probes; (16, 2, 0.001) first
+    # accepts d = 8
+    probes = {0: [1], 2: [1, 2, 3], 6: [1, 2, 4, 7]}[d_cap]
     monkeypatch.setattr(depthsearch, "D_CAP", d_cap)
     calls = []
     original = depthsearch.trotter.trotterized_state
@@ -169,10 +172,59 @@ def test_depth_search_error_counts_evaluated_multipliers(d_cap, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(depthsearch.trotter, "trotterized_state", counted)
-    with pytest.raises(depthsearch.DepthSearchError) as err:
-        depthsearch.numeric_optimal_depth(10, 2, 0.001)
-    assert len(set(calls)) == d_cap + 1
-    assert FAILURE_MESSAGE.fullmatch(str(err.value)).group(1) == str(d_cap + 1)
+    with pytest.raises(depthsearch.DepthSearchError, match=f"scanned {d_cap + 1} multipliers at level 0"):
+        depthsearch.numeric_optimal_depth(16, 2, 0.001)
+    assert calls == [depthsearch._steps_at(16, d, 0) for d in probes]
+
+
+def test_exhausted_scan_at_the_default_cap_probes_by_doubling(monkeypatch):
+    # q = 2 cannot meet the budget at (64, 0.01) within d <= 1 + D_CAP: the
+    # scan probes d = 1, 2, 4, ..., 4096 and 4097, not all 4097 multipliers
+    calls = []
+    original = depthsearch.trotter.trotterized_state
+
+    def counted(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(depthsearch.trotter, "trotterized_state", counted)
+    with pytest.raises(depthsearch.DepthSearchError, match="scanned 4097 multipliers at level 0"):
+        depthsearch.numeric_optimal_depth(64, 2, 0.01)
+    assert calls == [depthsearch._steps_at(64, d, 0) for d in [*(2**k for k in range(13)), 4097]]
+
+
+def linear_scan(n, q, epsilon):
+    """Reference for the level-0 search: the first accepted d in 1..1+D_CAP, tried one by one."""
+    threshold = depthsearch.reference_overlap(n) - epsilon
+    for d in range(1, depthsearch.D_CAP + 2):
+        state = trotter.trotterized_state(n, q, ctqw.t_star(n), depthsearch._steps_at(n, d, 0))
+        if abs(state.amp[0]) ** 2 >= threshold:
+            return d
+    return None
+
+
+@pytest.mark.parametrize(
+    "n, q, eps, d",
+    [
+        (44, 2, 0.01, 318),
+        (40, 2, 0.01, 167),
+        (32, 2, 0.001, 84),
+        (30, 2, 0.001, 61),
+        (40, 4, 0.001, 7),
+        (56, 6, 0.001, 3),
+        (68, 6, 0.001, 5),
+        (80, 6, 0.001, 9),
+        (44, 8, 0.01, 1),
+        (80, 8, 0.001, 1),
+    ],
+)
+def test_level0_bisection_finds_the_linear_scans_multiplier(n, q, eps, d, monkeypatch):
+    # doubling then bisecting finds the first accepted d only while a rejected
+    # step count stays rejected at tau = t*/r <= pi/2; q = 8 accepted d = 1
+    # in every cell tried
+    monkeypatch.setattr(depthsearch, "LEVELS", 1)
+    assert linear_scan(n, q, eps) == d
+    assert depthsearch.numeric_optimal_depth(n, q, eps).d == d
 
 
 def test_grover_curve_small_cases():
@@ -320,7 +372,7 @@ def test_sweep_cell_best_first_stops_losing_orders_early(monkeypatch):
     monkeypatch.setattr(trotter, "trotterized_state", counting)
     record, _ = depthsearch.sweep_cell(44, 0.01)
     assert record.q == 8
-    assert len(calls) <= 48
+    assert len(calls) <= 31
 
 
 def test_sweep_cell_rejects_empty_orders():
