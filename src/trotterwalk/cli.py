@@ -8,8 +8,9 @@ a given configuration; timestamps live only in the sidecar.
 
 Exit codes: 0 success, 2 usage/validation error, 3 partial failure (some
 cells failed; completed rows are still written and the sidecar lists the
-failures as machine-readable records).  A config file that fails exits 2
-before the other settings are checked.
+failures as machine-readable records).  An argument ``@run.args`` stands
+for the whitespace-separated arguments in ``run.args``; a flag given twice
+keeps its later value.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ ENV_OUTDIR = "TROTTERWALK_OUTDIR"
 
 N_MIN, N_MAX = 1, 80
 
-# the largest --order: over n <= N_MAX, the ln of bound-check's error bound at
-# r = 4 peaks at 669.2 for q = 16 and at 778.0 for q = 18, past ln(float max) = 709.8
+# the largest --order, and --orders entry: over n <= N_MAX, the ln of
+# bound-check's error bound at r = 4 peaks at 669.2 for q = 16 and at 778.0 for
+# q = 18, past ln(float max) = 709.8; a q-step costs 2^(q/2 - 1) order-2 blocks
 Q_MAX = 16
 
 # bound-check measures the Trotter error at r = 2^j for each of these j
@@ -155,8 +157,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     if len(set(config.orders)) != len(config.orders):
         errors.append(f"admissible orders must not repeat, got {config.orders}")
     for q in config.orders:
-        if q < 2 or q % 2:
-            errors.append(f"admissible orders must be even integers >= 2, got {q}")
+        if not 2 <= q <= Q_MAX or q % 2:
+            errors.append(f"--orders must list even integers in [2, {Q_MAX}], got {q}")
     if config.samples < 2:
         errors.append(f"--samples must be >= 2, got {config.samples}")
     if config.samples > MAX_ROWS:
@@ -171,9 +173,10 @@ def validate(config: ExperimentConfig) -> list[str]:
         errors.append(f"grover-curve would write {config.k_max} rows, above the cap of {MAX_ROWS}; set a smaller --k-max")
     if config.workers < 0:
         errors.append(f"--workers must be >= 0 (0 = one per CPU), got {config.workers}")
-    if config.workers == 0:
-        # the CPUs this process may run on, which taskset or a cpuset can make fewer than os.cpu_count()
-        config.workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # the CPUs this process may run on, which taskset or a cpuset can make fewer
+    # than os.cpu_count(); 0 means one worker per CPU, and no count exceeds them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    config.workers = min(config.workers or cpus, cpus)
     if config.experiment in ("overlap-trace", "grover-curve") and len(config.ns) != 1:
         errors.append(f"{config.experiment} needs exactly one system size")
     if config.experiment == "overlap-trace" and len(config.epsilons) > 1:
@@ -366,7 +369,7 @@ FLAGS = {
     "--samples": ("samples", {"type": int, "help": f"trace sample count (at most {MAX_ROWS})"}),
     "--spacing": ("spacing", {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
     "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {MAX_ROWS})"}),
-    "--workers": ("workers", {"type": int, "help": "processes that compute, the calling one among them (default or 0: one per usable CPU)"}),
+    "--workers": ("workers", {"type": int, "help": "processes that compute, the calling one among them (default or 0: one per usable CPU, which also caps it)"}),
     "--out": ("out", {"help": f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)"}),
 }
 
@@ -429,7 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trotterwalk",
         description="Experiments on quantum-walk search trotterized into QAOA sequences.",
+        epilog="An argument @FILE stands for the whitespace-separated arguments in FILE; a flag given twice keeps its later value.",
+        fromfile_prefix_chars="@",
     )
+    # a file line reads as the command line does ('--n 46'); a blank line adds nothing
+    parser.convert_arg_line_to_args = str.split
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, spec in EXPERIMENTS.items():
         # no abbreviations: with --order absent, '--order' would mean '--orders'
@@ -437,55 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, (setting, kwargs) in FLAGS.items():
             if setting in ("ns", "out", *spec.settings):
                 p.add_argument(flag, default=None, **kwargs)
-        p.add_argument("--config", default=None, help="JSON config file; explicit flags override it")
     return parser
 
 
-def _merge_config_file(args: argparse.Namespace) -> list[str]:
-    """Fill the flags not given from ``args.config``; returns its errors."""
-    if args.config is None:
-        return []
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        return [f"cannot read config file {args.config}: {err}"]
-    if not isinstance(data, dict):
-        return [f"config file {args.config} must hold a JSON object, got {type(data).__name__}"]
-    errors = []
-    # every flag of this subcommand but --config itself may come from the file
-    keys = set(vars(args)) - {"experiment", "config"}
-    converters = {flag[2:].replace("-", "_"): kwargs.get("type", str) for flag, (_, kwargs) in FLAGS.items()}
-    for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in keys:
-            errors.append(f"unknown config key {key!r}")
-        elif getattr(args, dest) is None:
-            convert = converters[dest]
-            try:
-                setattr(args, dest, _config_value(value, convert))
-            except ValueError as err:
-                reason = err if isinstance(err, RangeError) else f"invalid {convert.__name__} value {value!r}"
-                errors.append(f"config key {key!r}: {reason}")
-    return errors
-
-
-def _config_value(value, convert):
-    """A config-file value as its flag reads it from the command line.
-
-    A JSON string or number is the flag's text (a number as its JSON text)
-    and passes through the flag's argparse ``type``.  Int and float flags
-    take only numbers, so 5.5 or "5" for an int flag is a ValueError.
-    """
-    if isinstance(value, str) and convert not in (int, float):
-        return convert(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(value)
-    return convert(json.dumps(value))
-
-
-def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[str]]:
-    errors = _merge_config_file(args)
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig(experiment=args.experiment)
     for flag, (setting, _) in FLAGS.items():
         # None: not given, or not a flag of this subcommand
@@ -496,17 +458,14 @@ def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, list[
             getattr(config, setting).extend(value if isinstance(value, list) else [value])
         else:
             setattr(config, setting, value)
-    return config, errors
+    return config
 
 
 def main(argv=None) -> int:
     args, unread = build_parser().parse_known_args(argv)
-    config, errors = _config_from_args(args)
-    # a config file that fails ends the checks: the settings it failed to give would read as missing
-    checked = [] if errors else validate(config)
-    if unread:
-        errors.append(f"{args.experiment} does not take: {' '.join(unread)}")
-    errors += checked
+    config = _config_from_args(args)
+    errors = [f"{args.experiment} does not take: {' '.join(unread)}"] if unread else []
+    errors += validate(config)
     if errors:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)

@@ -74,14 +74,15 @@ def test_out_of_range_sizes_make_one_error_line(n_range, message, tmp_path, caps
     ids=["flag", "config", "flag-empty", "config-empty"],
 )
 def test_refused_range_keeps_its_reason(source, text, reason, tmp_path, capsys):
+    # "config": the range comes from an @file of flags
     out = tmp_path / "a.csv"
     args = ["analytic-depth", "--epsilon", "0.1", "--out", str(out)]
     if source == "flag":
         args += ["--n-range", text]
     else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_range": text}))
-        args += ["--config", str(cfg)]
+        flags = tmp_path / "run.args"
+        flags.write_text(f"--n-range {text}\n")
+        args.append(f"@{flags}")
     try:
         code = cli.main(args)
     except SystemExit as stop:
@@ -95,33 +96,39 @@ def test_refused_range_keeps_its_reason(source, text, reason, tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('{"n_range": "1..200000", "epsilon": 0.1}', "config key 'n_range': range holds 200000 sizes"),
-        ('{"n_range": "1..x", "epsilon": 0.1}', "config key 'n_range': invalid parse_int_range value '1..x'"),
-        ('{"n": 10, "epsilon_list": "0.1,x"}', "config key 'epsilon_list': invalid parse_float_list value '0.1,x'"),
-        ('{"n": 10', "cannot read config file"),
-        ("[10, 0.1]", "must hold a JSON object, got list"),
+        ("--n-range 1..200000\n--epsilon 0.1\n", "argument --n-range: range holds 200000 sizes"),
+        ("--n-range 1..x\n--epsilon 0.1\n", "argument --n-range: invalid parse_int_range value: '1..x'"),
+        ("--n 10\n--epsilon-list 0.1,x\n", "argument --epsilon-list: invalid parse_float_list value: '0.1,x'"),
+        (None, "No such file or directory"),
     ],
-    ids=["range-too-wide", "range-malformed", "budgets-malformed", "not-json", "not-an-object"],
+    ids=["range-too-wide", "range-malformed", "budgets-malformed", "missing-file"],
 )
 def test_failed_config_key_is_not_also_missing(text, message, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
+    # argparse stops at an @file's first bad value, so the sizes or budgets it
+    # failed to give are not also reported as missing
+    flags = tmp_path / "run.args"
+    if text is not None:
+        flags.write_text(text)
     out = tmp_path / "a.csv"
-    assert cli.main(["analytic-depth", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["analytic-depth", f"@{flags}", "--out", str(out)])
+    assert stop.value.code == cli.EXIT_USAGE
     assert not out.exists()
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0]
 
 
 def test_failed_config_file_ends_the_checks(tmp_path, capsys):
-    # --order 3 breaks a rule too, but only the config key's error is reported
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"n": 10, "epsilon_list": "0.1,x"}')
+    # --order 3 breaks a rule too, but only the @file's bad value is reported
+    flags = tmp_path / "run.args"
+    flags.write_text("--n 10\n--epsilon-list 0.1,x\n")
     out = tmp_path / "a.csv"
-    assert cli.main(["analytic-depth", "--config", str(cfg), "--order", "3", "--out", str(out)]) == cli.EXIT_USAGE
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["analytic-depth", f"@{flags}", "--order", "3", "--out", str(out)])
+    assert stop.value.code == cli.EXIT_USAGE
     assert not out.exists()
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert errors == ["error: config key 'epsilon_list': invalid parse_float_list value '0.1,x'"]
+    assert len(errors) == 1 and errors[0].endswith("error: argument --epsilon-list: invalid parse_float_list value: '0.1,x'")
 
 
 @pytest.mark.parametrize("out, directory", [("out", "out"), ("x.csv", "x.json")], ids=["csv", "sidecar"])
@@ -143,30 +150,52 @@ def test_output_path_under_a_file_is_refused(out, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, config, message",
+    "args, file, message",
     [
         (["depth-search", "--n", "6", "--epsilon", "0.1", "--order", "3"], None, "--order must be an even integer in [2, 16] or 'auto', got 3"),
         (["depth-search", "--n", "6", "--epsilon", "0.1", "--order", "four"], None, "--order must be an even integer in [2, 16] or 'auto', got 'four'"),
         # at q = 18 the error bound overflows a float: refused before any cell runs
         (["bound-check", "--n", "4", "--order", "18"], None, "--order must be an even integer in [2, 16] or 'auto', got 18"),
         (["analytic-depth", "--n", "10", "--epsilon", "0.1", "--order", "18"], None, "--order must be an even integer in [2, 16] or 'auto', got 18"),
-        (["ratio-sweep", "--n", "6", "--epsilon", "0.1", "--orders", "2,3"], None, "admissible orders must be even integers >= 2, got 3"),
+        (["ratio-sweep", "--n", "6", "--epsilon", "0.1", "--orders", "2,3"], None, "--orders must list even integers in [2, 16], got 3"),
+        # a q = 18 step costs 2^8 order-2 blocks: refused like --order 18
+        (["ratio-sweep", "--n", "6", "--epsilon", "0.1", "--orders", "2,18"], None, "--orders must list even integers in [2, 16], got 18"),
         (["overlap-trace", "--n", "6", "--epsilon", "0.1", "--samples", "1"], None, "--samples must be >= 2, got 1"),
         (["grover-curve", "--n", "6", "--k-max", "0"], None, "--k-max must be >= 1, got 0"),
-        # argparse's choices refuse it on the command line; a config file reaches validate
-        (["overlap-trace"], {"n": 6, "epsilon": 0.1, "spacing": "bogus"}, "--spacing must be linear or geometric, got 'bogus'"),
+        # from an @file as from the command line, argparse's choices refuse it
+        (["overlap-trace"], "--n 6 --epsilon 0.1 --spacing bogus", "argument --spacing: invalid choice: 'bogus'"),
     ],
-    ids=["order-odd", "order-text", "order-above-cap-bound-check", "order-above-cap-analytic-depth", "orders-odd", "samples", "k-max", "spacing-from-config"],
+    ids=[
+        "order-odd",
+        "order-text",
+        "order-above-cap-bound-check",
+        "order-above-cap-analytic-depth",
+        "orders-odd",
+        "orders-above-cap",
+        "samples",
+        "k-max",
+        "spacing-from-config",
+    ],
 )
-def test_validate_refusals(args, config, message, tmp_path, capsys):
+def test_validate_refusals(args, file, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        args = [*args, "--config", str(cfg)]
-    assert cli.main([*args, "--out", str(out)]) == cli.EXIT_USAGE
+    if file is not None:
+        flags = tmp_path / "run.args"
+        flags.write_text(file)
+        args = [*args, f"@{flags}"]
+    try:
+        code = cli.main([*args, "--out", str(out)])
+    except SystemExit as stop:
+        code = stop.code
+    assert code == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_validate_refuses_a_spacing_set_in_python():
+    # the CLI's choices never let this through; a config built in Python can
+    config = cli.ExperimentConfig(experiment="overlap-trace", ns=[6], epsilons=[0.1], spacing="bogus")
+    assert cli.validate(config) == ["--spacing must be linear or geometric, got 'bogus'"]
 
 
 def test_json_out_keeps_a_separate_sidecar(tmp_path):
@@ -243,39 +272,48 @@ def test_bound_check(tmp_path):
 
 
 def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 46, "epsilon": 0.01, "out": str(tmp_path / "from_file.csv")}))
+    # an @file's flags read as if typed in its place: a later flag wins, an earlier one does not
+    flags = tmp_path / "run.args"
+    flags.write_text(f"--n 46\n--epsilon 0.01\n--out {tmp_path / 'from_file.csv'}\n")
     out = tmp_path / "override.csv"
-    assert cli.main(["analytic-depth", "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.exists()
+    assert cli.main(["analytic-depth", "--n", "50", f"@{flags}", "--out", str(out)]) == cli.EXIT_OK
     assert not (tmp_path / "from_file.csv").exists()
-    meta = read_sidecar(out)
-    assert meta["config"]["ns"] == [46]
+    assert read_sidecar(out)["config"]["ns"] == [46]
+    assert cli.main(["analytic-depth", f"@{flags}", "--n", "50", "--out", str(out)]) == cli.EXIT_OK
+    assert read_sidecar(out)["config"]["ns"] == [50]
 
 
-def test_config_file_unknown_key(tmp_path):
-    cfg = tmp_path / "cfg.json"
+def test_config_file_unknown_key(tmp_path, capsys):
+    flags = tmp_path / "run.args"
+    out = tmp_path / "x.csv"
     # samples is a setting, but not one analytic-depth reads (5 is a valid count)
-    for key, value in (("bogus", 1), ("target", 1), ("experiment", 1), ("config", 1), ("samples", 5)):
-        cfg.write_text(json.dumps({"n": 6, "epsilon": 0.1, key: value}))
-        assert cli.main(["analytic-depth", "--config", str(cfg)]) == cli.EXIT_USAGE
+    for flag, value in (("--bogus", "1"), ("--target", "1"), ("--config", "x.json"), ("--samples", "5")):
+        flags.write_text(f"--n 6 --epsilon 0.1\n{flag} {value}\n")
+        assert cli.main(["analytic-depth", f"@{flags}", "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"analytic-depth does not take: {flag} {value}" in capsys.readouterr().err
+    # a JSON settings file is no longer read
+    assert cli.main(["analytic-depth", "--n", "6", "--epsilon", "0.1", "--config", "x.json", "--out", str(out)]) == cli.EXIT_USAGE
+    assert "analytic-depth does not take: --config x.json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_values_take_their_flag_types(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
+    # a value in an @file passes its flag's argparse type or choices, as when typed
+    flags = tmp_path / "run.args"
     out = tmp_path / "trace.csv"
-    # an int flag takes a JSON integer, as --samples 5 gives one
-    for key, value in (("samples", "5"), ("n", "ten"), ("samples", 5.5), ("samples", True), ("epsilon", "0.1")):
-        cfg.write_text(json.dumps({"n": 10, "epsilon": 0.1, key: value}))
-        assert cli.main(["overlap-trace", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
-        assert f"config key {key!r}: invalid" in capsys.readouterr().err
+    for line, message in (
+        ("--samples 5.5", "argument --samples: invalid int value: '5.5'"),
+        ("--n ten", "argument --n: invalid int value: 'ten'"),
+        ("--epsilon x", "argument --epsilon: invalid float value: 'x'"),
+    ):
+        flags.write_text(f"--n 10\n--epsilon 0.1\n{line}\n")
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["overlap-trace", f"@{flags}", "--out", str(out)])
+        assert stop.value.code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not out.exists()
-    cfg.write_text(json.dumps([10, 0.1]))
-    assert cli.main(["overlap-trace", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
-    assert "must hold a JSON object, got list" in capsys.readouterr().err
-    # a flag without a type reads a string or a number as its text
-    cfg.write_text(json.dumps({"n": 10, "epsilon": 0.1, "samples": 5, "order": 4, "spacing": "geometric"}))
-    assert cli.main(["overlap-trace", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    flags.write_text("--n 10 --epsilon 0.1 --samples 5 --order 4 --spacing geometric\n")
+    assert cli.main(["overlap-trace", f"@{flags}", "--out", str(out)]) == cli.EXIT_OK
     assert read_sidecar(out)["config"]["order"] == "4"
 
 
@@ -309,6 +347,15 @@ def test_workers_zero_counts_the_usable_cpus(monkeypatch):
     config = cli.ExperimentConfig(experiment="depth-search", ns=[8], epsilons=[0.1])
     assert cli.validate(config) == []
     assert config.workers == 3
+
+
+def test_workers_above_the_usable_cpus_are_capped(monkeypatch):
+    # the pool would fork every child at its first submit; validate starts none
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for asked, resolved in ((5000, 2), (3, 2), (2, 2), (1, 1), (0, 2)):
+        config = cli.ExperimentConfig(experiment="depth-search", ns=[8], epsilons=[0.1], workers=asked)
+        assert cli.validate(config) == []
+        assert config.workers == resolved
 
 
 def _cell_and_pid(cell):
@@ -360,21 +407,25 @@ def test_malformed_list_flag(flag, value, tmp_path, capsys):
 
 
 def test_config_file_list_flags(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_range": "16..18:2", "epsilon_list": "0.1", "orders": "2,4", "workers": 1}))
+    # an @file plus flags writes the same CSV, and records the same settings, as the flags alone
+    flags = tmp_path / "run.args"
+    flags.write_text("--n-range 16..18:2\n\n--epsilon-list 0.1\n--orders 2,4\n")
     from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
-    assert cli.main(["ratio-sweep", "--config", str(cfg), "--out", str(from_file)]) == cli.EXIT_OK
-    flags = ["--n-range", "16..18:2", "--epsilon-list", "0.1", "--orders", "2,4", "--workers", "1"]
-    assert cli.main(["ratio-sweep", *flags, "--out", str(from_flags)]) == cli.EXIT_OK
+    assert cli.main(["ratio-sweep", f"@{flags}", "--workers", "1", "--out", str(from_file)]) == cli.EXIT_OK
+    typed = ["--n-range", "16..18:2", "--epsilon-list", "0.1", "--orders", "2,4", "--workers", "1"]
+    assert cli.main(["ratio-sweep", *typed, "--out", str(from_flags)]) == cli.EXIT_OK
     assert from_file.read_bytes() == from_flags.read_bytes()
+    settings = [{**read_sidecar(path)["config"], "out": None} for path in (from_file, from_flags)]
+    assert settings[0] == settings[1]
     capsys.readouterr()
-    cfg.write_text(json.dumps({"n": 6, "epsilon": 0.1, "orders": [2, 4]}))
-    assert cli.main(["ratio-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == cli.EXIT_USAGE
-    assert "'orders'" in capsys.readouterr().err
+    # whitespace ends a value, in a file as on the command line
+    flags.write_text("--n 6 --epsilon 0.1 --orders 2, 4\n")
+    assert cli.main(["ratio-sweep", f"@{flags}", "--out", str(tmp_path / "x.csv")]) == cli.EXIT_USAGE
+    assert "ratio-sweep does not take: 4" in capsys.readouterr().err
 
 
-# every optional flag each subcommand has no use for; --n, --n-range, --out
-# and --config belong to all six
+# every optional flag each subcommand has no use for; --n, --n-range and --out
+# belong to all six
 UNREAD_FLAGS = {
     "overlap-trace": ["--orders", "--iterations", "--k-max", "--workers"],
     "depth-search": ["--orders", "--samples", "--spacing", "--iterations", "--k-max"],
@@ -473,8 +524,9 @@ def test_partial_failure_exit_code(tmp_path, monkeypatch):
 def test_failed_cells_through_the_pool(experiment, orders, tmp_path, monkeypatch):
     # with a level-0 scan of d = 1 only, q = 2 fails in every cell (in
     # ratio-sweep decisively, beside q = 4); the forked child computes
-    # n = 8 and the calling process n = 10
+    # n = 8 and the calling process n = 10, on a host of any CPU count
     monkeypatch.setattr(depthsearch, "D_CAP", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out = tmp_path / "fail.csv"
     args = ["--n-range", "8..10:2", "--epsilon-list", "0.01,0.001", *orders, "--workers", "2", "--out", str(out)]
     assert cli.main([experiment, *args]) == cli.EXIT_PARTIAL

@@ -18,6 +18,7 @@ with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -74,8 +75,10 @@ def test_cli_output_matches_golden(experiment, tmp_path):
 
 
 @pytest.mark.parametrize("experiment, workers", [("ratio-sweep", 2), ("ratio-sweep", 3), ("depth-search", 2)])
-def test_through_the_pool_matches_golden(experiment, workers, tmp_path):
-    # the last --workers given wins over the golden command's own
+def test_through_the_pool_matches_golden(experiment, workers, tmp_path, monkeypatch):
+    # the last --workers given wins over the golden command's own; three
+    # usable CPUs keep validate from capping it on a smaller host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
     args = [*COMMANDS[experiment], "--workers", str(workers)]
     assert_matches_golden(experiment, generate(experiment, tmp_path / f"{experiment}.csv", args))
 
