@@ -9,12 +9,19 @@ adjacent same-generator factors across r steps yields an alternating
 sequence, i.e. a QAOA circuit of depth p = r * 5^(q/2-1); the leading
 half-mixer acts on |+>^n as a global phase, which is how the grouped
 sequence and the depth-p ansatz coincide.
+
+Steps are built and powered in H_x's eigenbasis W, made from exact
+integers: there every mixer exponential is diagonal with exact eigenvalues
+n - 2k, the cost projector is the rank-1 u u^T with u = sqrt(P), and |+>^n
+is the unit vector e_0.  States and operators are taken to the Dicke basis
+once, at the end, by products with W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -87,88 +94,130 @@ def group_sequence(q: int, r: int, t: float) -> tuple[Factor, ...]:
 
 
 @lru_cache(maxsize=None)
-def _mixer_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of H_x, cached and read-only."""
-    w, v = np.linalg.eigh(symspace.build_hx(n))
-    w.flags.writeable = v.flags.writeable = False
-    return w, v
+def _mixer_basis(n: int) -> np.ndarray:
+    """H_x's eigenbasis W, W_jk = <e_j|H^(x n)|e_k>, real; cached and read-only.
+
+    Column k is H_x's eigenvector for the eigenvalue n - 2k.  W is symmetric
+    and its own inverse, so a Dicke-basis X reads W X W here: |+> is e_0 and
+    H_0 is u u^T with u = W[0] = sqrt(P).  W_jk = 2^(-n/2) sqrt(C(n,j)/C(n,k)) K_k(j)
+    with the Krawtchouk values K_k(j) (MacWilliams & Sloane, The Theory of
+    Error-Correcting Codes, 1977, ch. 5), from K_k(0) = C(n,k) and
+    K_k(j+1) = K_k(j) - K_(k-1)(j) - K_(k-1)(j+1) in exact integers.  As
+    C(n,j) K_k(j) = C(n,k) K_j(k), W_jk = sign(K_k(j)) sqrt(K_k(j) K_j(k) / 2^n):
+    the integer product and its square root are each rounded once, so W is
+    exactly symmetric and its row 0 is ``plus_state``'s amplitudes bit for bit.
+    """
+    symspace.check_n(n)
+    rows = [[comb(n, k) for k in range(n + 1)]]
+    for _ in range(n):
+        prev, row = rows[-1], []
+        for k in range(n + 1):
+            row.append(prev[k] - prev[k - 1] - row[k - 1] if k else prev[0])
+        rows.append(row)
+    kraw = np.array(rows, dtype=object)
+    odd = n % 2  # 2^(-n/2) = 2^odd * 2^(-(n + odd)/2), the last factor exact
+    w = np.ldexp(np.sqrt((kraw * kraw.T << odd).astype(float)), -(n + odd) // 2)
+    w[kraw < 0] *= -1.0
+    w.flags.writeable = False
+    return w
+
+
+def _mixer_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """H_x's eigenvalues n - 2k, exact, and u = sqrt(P), the cost's H_0 = u u^T, in W's basis."""
+    return n - 2.0 * np.arange(n + 1), _mixer_basis(n)[0]
 
 
 def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOperator:
     """Operator realized by an exponent-factor sequence (first factor rightmost).
 
-    The product is kept as E = op - I: each factor I + A, with A built from
-    expm1 phases, updates it as (I + A)(I + E) - I = E + A(I + E), so a short
-    step keeps its digits below machine epsilon.
+    The product is kept as E = op - I in H_x's eigenbasis, where each factor
+    I + A is a diagonal scaling (mixer, A = diag(expm1(-i alpha tau lambda)))
+    or a rank-1 update (cost, A = c u u^T with c = expm1(-i tau)).  E takes
+    it as (I + A)(I + E) - I = E + A(I + E), O(n^2) per factor, so a short
+    step keeps its digits below machine epsilon.  The result is W E W, in
+    the Dicke basis.
     """
-    w, v = _mixer_eigensystem(n)
+    lam, u = _mixer_spectrum(n)
     e = np.zeros((n + 1, n + 1), dtype=complex)
     for tag, tau in factors:
         if tag == COST:
-            # A = c |e_0><e_0| touches row 0 only: A(I + E) = c (e_0 + E[0])
-            c = np.expm1(-1j * tau)
-            e[0] += c * e[0]
-            e[0, 0] += c
+            e += np.multiply.outer(np.expm1(-1j * tau) * u, u + u @ e)
         elif tag == MIXER:
-            op = e + np.eye(n + 1)
-            e = e + (v * np.expm1(-1j * alpha * tau * w)) @ (v.conj().T @ op)
+            a = np.expm1(-1j * alpha * tau * lam)
+            e += a[:, None] * e
+            e.flat[:: n + 2] += a  # the diagonal
         else:
             raise ValueError(f"unknown generator tag {tag!r}")
-    return SymOperator(n, e)
+    w = _mixer_basis(n)
+    return SymOperator(n, w @ e @ w)
 
 
-def _recursive_delta(w: np.ndarray, v: np.ndarray, vh: np.ndarray, alpha: float, q: int, tau: float) -> np.ndarray:
-    """E = S_q(tau) - I of one order-q Suzuki step, built by recursing on q.
+def _recursive_delta(n: int, alpha: float, q: int, tau: float) -> np.ndarray:
+    """E = S_q(tau) - I of one order-q Suzuki step in H_x's eigenbasis, built by recursing on q.
 
     An order-q step is S_o^2 S_m S_o^2 with S_o, S_m order-(q-2) steps at
     u_(q/2)*tau and (1-4u_(q/2))*tau, the times ``suzuki_coefficients`` uses.
     Each is built once, and every product, squares included, is taken as
-    (I + X)(I + Y) - I.  Order 2 is mixer(tau/2) cost(tau) mixer(tau/2).
+    (I + X)(I + Y) - I.  Order 2 is mixer(tau/2) cost(tau) mixer(tau/2) =
+    D (I + c u u^T) D with D = diag(e^(-i alpha tau lambda / 2)), so its E is
+    diag(expm1(-i alpha tau lambda)) + c (D u)(D u)^T, with no product.
     Each level holds one matrix while the next builds, so a q = 8 step
     needs about seven.
     """
     if q == 2:
-        half = (v * np.expm1(-0.5j * alpha * tau * w)) @ vh
-        # cost(tau) mixer(tau/2) - I: the cost factor c|e_0><e_0| touches row 0 only
-        c = np.expm1(-1j * tau)
-        x = half.copy()
-        x[0] += c * half[0]
-        x[0, 0] += c
-        return symspace._times_plus(half, x)
+        lam, root_p = _mixer_spectrum(n)
+        du = np.exp(-0.5j * alpha * tau * lam) * root_p
+        e = np.multiply.outer(np.expm1(-1j * tau) * du, du)
+        e.flat[:: n + 2] += np.expm1(-1j * alpha * tau * lam)  # the diagonal
+        return e
     u = u_coefficient(q // 2)
-    outer = _recursive_delta(w, v, vh, alpha, q - 2, u * tau)
+    outer = _recursive_delta(n, alpha, q - 2, u * tau)
     outer = symspace._times_plus(outer, outer)
-    middle = _recursive_delta(w, v, vh, alpha, q - 2, (1.0 - 4.0 * u) * tau)
+    middle = _recursive_delta(n, alpha, q - 2, (1.0 - 4.0 * u) * tau)
     return symspace._times_plus(outer, symspace._times_plus(middle, outer))
 
 
 # typed: a float r must miss the cache and be refused, not return an int r's step
 @lru_cache(maxsize=1, typed=True)
-def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
-    """One Trotter step S_q(t/r) as an (n+1)x(n+1) unitary, with its exact delta.
-
-    The walk runs at the resonant coupling alpha*(n).  Built by the Suzuki
-    recursion S_q(tau) = S_(q-2)(u tau)^2 S_(q-2)((1-4u) tau) S_(q-2)(u tau)^2
-    in E = S - I form: 2^(q/2-1) order-2 blocks of two matrix products each
-    and three products per level, 37 for q = 8 where walking its 251 merged
-    factors takes 252.
+def _mixer_basis_step(n: int, q: int, t: float, r: int) -> SymOperator:
+    """One Trotter step S_q(t/r) in H_x's eigenbasis, at alpha*(n), with its exact delta; cached, read-only.
 
     The last step built is cached, so the state, spectral error and trace of
-    one (n, q, t, r) share it and the squares its first powering keeps;
-    its delta is read-only.
+    one (n, q, t, r) share it and the squares its first powering keeps.
     """
     _check_order(q)
     _check_steps(r)
-    w, v = _mixer_eigensystem(n)
-    step = SymOperator(n, _recursive_delta(w, v, v.conj().T, ctqw.alpha_star(n), q, t / r))
+    step = SymOperator(n, _recursive_delta(n, ctqw.alpha_star(n), q, t / r))
     step.delta.flags.writeable = False
     return step
 
 
+def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
+    """One Trotter step S_q(t/r) as an (n+1)x(n+1) unitary in the Dicke basis, with its exact delta.
+
+    The walk runs at the resonant coupling alpha*(n).  Built in H_x's
+    eigenbasis by the Suzuki recursion
+    S_q(tau) = S_(q-2)(u tau)^2 S_(q-2)((1-4u) tau) S_(q-2)(u tau)^2
+    in E = S - I form: 2^(q/2-1) order-2 blocks, each a diagonal plus a
+    rank-1 matrix, and three products per level, 21 for q = 8, then taken
+    to the Dicke basis as W E W.
+    """
+    w = _mixer_basis(n)
+    return SymOperator(n, w @ _mixer_basis_step(n, q, t, r).delta @ w)
+
+
+def _plus(n: int) -> np.ndarray:
+    """|+>^n in H_x's eigenbasis: the unit vector e_0."""
+    return np.eye(1, n + 1, dtype=complex)[0]
+
+
 def trotterized_state(n: int, q: int, t: float, r: int) -> SymVector:
-    """S_q^r(t/r)|+>^n, applying the step's binary powers to |+>."""
-    step = step_operator(n, q, t, r)
-    return SymVector(n, symspace.apply_powers(step, [r], symspace.plus_state(n).amp)[0])
+    """S_q^r(t/r)|+>^n, applying the step's binary powers to |+> = e_0 in H_x's eigenbasis.
+
+    The state is taken to the Dicke basis by one product with W.
+    """
+    psi = symspace.apply_powers(_mixer_basis_step(n, q, t, r), [r], _plus(n))[0]
+    return SymVector(n, _mixer_basis(n) @ psi)
 
 
 def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str = "linear") -> list[tuple[int, float]]:
@@ -191,8 +240,10 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
     points = [int(x) for x in np.rint(points)]
     points[-1] = r  # float spacing loses the endpoint once r > 2^53
     steps = sorted(set(points))
-    states = symspace.apply_powers(step_operator(n, q, t, r), steps, symspace.plus_state(n).amp)
-    return [(m, float(abs(psi[0]) ** 2)) for m, psi in zip(steps, states)]
+    states = symspace.apply_powers(_mixer_basis_step(n, q, t, r), steps, _plus(n))
+    # the target amplitude as ``trotterized_state`` forms it, so the last samples agree exactly
+    w = _mixer_basis(n)
+    return [(m, float(abs((w @ psi)[0]) ** 2)) for m, psi in zip(steps, states)]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Reference code the tests check the library against.
 
 A brute-force simulator in the full 2^n-dimensional space, for
-cross-checking the symmetric-subspace evolution at small n, and the Dicke
+cross-checking the symmetric-subspace evolution at small n, a Trotter step
+built in the Dicke basis from a numerical eigensystem of H_x, and the Dicke
 basis vectors.
 """
 
@@ -9,7 +10,8 @@ from math import sqrt
 
 import numpy as np
 
-from trotterwalk.symspace import COST, MIXER, SymVector, check_n, p_weights
+from trotterwalk.symspace import COST, MIXER, SymVector, build_hx, check_n, p_weights
+from trotterwalk.trotter import u_coefficient
 
 MAX_FULL_SPACE_QUBITS = 12
 
@@ -67,3 +69,32 @@ def full_space_oracle(n: int, factors, alpha: float) -> SymVector:
     np.add.at(sums, weights, psi)
     amp = sums / np.sqrt(p_weights(n) * dim)  # P_k 2^n = C(n, k) exactly
     return SymVector(n, amp)
+
+
+def dicke_step_delta(n: int, q: int, tau: float, alpha: float) -> np.ndarray:
+    """S_q(tau) - I built in the Dicke basis, with H_x's eigenvectors from ``eigh``.
+
+    The Suzuki recursion of ``trotter.step_operator``, independent of its
+    exact eigenbasis: each mixer half is V diag(expm1(...)) V^dag, the cost
+    touches row 0 only, and products are taken as (I + X)(I + Y) - I.
+    """
+    w, v = np.linalg.eigh(build_hx(n))
+
+    def times_plus(x, y):
+        return x + y + x @ y
+
+    def build(q, tau):
+        if q == 2:
+            half = (v * np.expm1(-0.5j * alpha * tau * w)) @ v.conj().T
+            # cost(tau) mixer(tau/2) - I: the cost c|e_0><e_0| touches row 0 only
+            c = np.expm1(-1j * tau)
+            x = half.copy()
+            x[0] += c * half[0]
+            x[0, 0] += c
+            return times_plus(half, x)
+        u = u_coefficient(q // 2)
+        outer = build(q - 2, u * tau)
+        outer = times_plus(outer, outer)
+        return times_plus(outer, times_plus(build(q - 2, (1.0 - 4.0 * u) * tau), outer))
+
+    return build(q, tau)

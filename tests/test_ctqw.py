@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trotterwalk import ctqw, symspace, trotter
+from trotterwalk import ctqw, symspace
 
 
 def test_alpha_star_values():
@@ -115,11 +115,8 @@ def test_ctqw_state_norm_random():
         assert abs(ctqw.ctqw_state(n, alpha, t).norm() - 1.0) < 1e-10, (n, alpha, t)
 
 
-@pytest.mark.parametrize(
-    "eigensystem",
-    [lambda: ctqw.walk_eigensystem(4, ctqw.alpha_star(4)), lambda: trotter._mixer_eigensystem(4)],
-    ids=["walk", "mixer"],
-)
+# H_x needs no eigensystem: its basis is test_trotter.py's test_mixer_basis_is_read_only
+@pytest.mark.parametrize("eigensystem", [lambda: ctqw.walk_eigensystem(4, ctqw.alpha_star(4))], ids=["walk"])
 def test_eigensystems_are_read_only(eigensystem):
     w, v = eigensystem()
     expected = w.copy()

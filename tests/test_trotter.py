@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import full_space_oracle
+from oracle import dicke_step_delta, full_space_oracle
 from trotterwalk import bounds, ctqw, symspace, trotter
 from trotterwalk.symspace import COST, MIXER
 
@@ -81,13 +81,47 @@ def test_step_operator_unitary():
 
 def test_step_operator_is_read_only():
     # the cached step is handed to every caller of its (n, q, t, r)
-    u = trotter.step_operator(6, 4, ctqw.t_star(6), 8)
+    step = trotter._mixer_basis_step(6, 4, ctqw.t_star(6), 8)
     with pytest.raises(ValueError):
-        u.delta[0, 0] = 0.0
+        step.delta[0, 0] = 0.0
     # entries is a new array on each access: writing into one leaves the step as it was
+    u = trotter.step_operator(6, 4, ctqw.t_star(6), 8)
     delta, entries = u.delta.tobytes(), u.entries
     entries[0, 0] = 0.0
     assert u.delta.tobytes() == delta and u.entries[0, 0] != 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 44, 80])
+def test_mixer_basis_is_exact(n):
+    # W is built from exact Krawtchouk integers; eigh's vectors of H_x miss
+    # the eigen-equation by 6.0e-14 at n = 80
+    w = trotter._mixer_basis(n)
+    assert w.dtype == np.float64 and np.array_equal(w, w.T)
+    assert np.max(np.abs(w @ w - np.eye(n + 1))) <= 1e-15
+    lam = n - 2.0 * np.arange(n + 1)
+    assert np.max(np.abs(symspace.build_hx(n).real @ w - w * lam)) <= 1e-14
+    # |+> is exactly e_0, so a state powered from e_0 starts as |+> bit for bit
+    assert w[0].tobytes() == symspace.plus_state(n).amp.real.tobytes()
+
+
+def test_mixer_basis_is_read_only():
+    for n in (1, 2, 44, 80):
+        w = trotter._mixer_basis(n)
+        expected = w.copy()
+        with pytest.raises(ValueError):
+            w[0, 0] = 99.0
+        assert np.array_equal(trotter._mixer_basis(n), expected)
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [10, 44, 80])
+def test_step_matches_dicke_build(n, q):
+    # against a step built in the Dicke basis from eigh's eigenvectors of H_x
+    alpha = ctqw.alpha_star(n)
+    for tau in (1e-6, 0.5, 4.0, 9.0):
+        ref = dicke_step_delta(n, q, tau, alpha)
+        built = trotter.step_operator(n, q, tau, 1).delta
+        assert np.max(np.abs(built - ref)) <= 1e-13 * np.max(np.abs(ref)), tau
 
 
 def test_cell_shares_one_powered_step(monkeypatch):
@@ -96,7 +130,7 @@ def test_cell_shares_one_powered_step(monkeypatch):
     # step per _POLAR_EVERY squarings, matrix_power one more at the end
     n, q = 80, 4
     t, r = ctqw.t_star(n), bounds.required_steps(n, q, 0.001)
-    trotter.step_operator.cache_clear()
+    trotter._mixer_basis_step.cache_clear()
     polar, calls = symspace._polar_step, []
     monkeypatch.setattr(symspace, "_polar_step", lambda e: calls.append(None) or polar(e))
 
@@ -107,8 +141,8 @@ def test_cell_shares_one_powered_step(monkeypatch):
     shared = cell()
     assert len(calls) == (r.bit_length() - 1) // symspace._POLAR_EVERY + 1
     # the same cell with a fresh, uncached copy of the step in every call
-    delta = trotter.step_operator(n, q, t, r).delta
-    monkeypatch.setattr(trotter, "step_operator", lambda *args: symspace.SymOperator(n, delta.copy()))
+    delta = trotter._mixer_basis_step(n, q, t, r).delta
+    monkeypatch.setattr(trotter, "_mixer_basis_step", lambda *args: symspace.SymOperator(n, delta.copy()))
     assert cell() == shared
 
 
@@ -148,8 +182,9 @@ def test_trotterized_state_matches_full_space(n):
 
 
 def test_overlap_trace_endpoints():
-    # both go through symspace.apply_powers, so the last sample is exact,
-    # also past r = 2^53 where the step is within machine epsilon of I
+    # both power the same cached step through symspace.apply_powers and take
+    # the target amplitude as (W psi)[0], so the last sample is exact, also
+    # past r = 2^53 where the step is within machine epsilon of I
     for n, q, r in ((10, 2, 512), (80, 4, bounds.required_steps(80, 4, 0.001))):
         t = ctqw.t_star(n)
         trace = trotter.overlap_trace(n, q, t, r, samples=9)
