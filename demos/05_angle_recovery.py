@@ -16,7 +16,9 @@ print("mixer angles beta_k :", np.round(angles.betas, 3), "(times alpha* when ap
 print(f"leading mixer half  : {angles.leading_mixer_half:.3f}  (global phase on |+>^n)")
 
 rebuilt = trotter.angles_operator(n, angles)
-reference = symspace.matrix_power(trotter.step_operator(n, q, t, r), r)
+eye = np.eye(n + 1)
+power = symspace.apply_powers(trotter.step_operator(n, q, t, r), [r], eye)[0]
+reference = symspace.SymOperator(n, power - eye)
 print(f"\noperator distance rebuilt-vs-formula: "
       f"{trotter.phase_aligned_distance(rebuilt, reference):.2e}")
 

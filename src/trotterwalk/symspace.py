@@ -75,11 +75,6 @@ class SymOperator:
         return float(np.max(np.abs(_gram_defect(self.delta))))
 
     @cached_property
-    def is_unitary(self) -> bool:
-        """Whether the unitarity defect is at most 1e-12, tested once per operator."""
-        return self.unitarity_defect() <= 1e-12
-
-    @cached_property
     def _polar_squares(self) -> list[np.ndarray]:
         """E_k = u^(2^k) - I at k = 0, _POLAR_EVERY, 2 _POLAR_EVERY, ..., filled by ``_squares``."""
         return [self.delta]
@@ -87,19 +82,17 @@ class SymOperator:
     def _squares(self, count: int):
         """Yield E_k = u^(2^k) - I for k = 0 .. count - 1, squaring as (I + E)^2 - I = 2E + E^2.
 
-        At every ``_POLAR_EVERY``-th k a unitary u's square is also projected
-        by one ``_polar_step``; these squares are kept, read-only, so a later
-        call starts each run of plain squares from a kept one.  The squares
-        between them are written over a working copy.
+        At every ``_POLAR_EVERY``-th k the square is also projected by one
+        ``_polar_step``, whatever u's own defect; these squares are kept,
+        read-only, so a later call starts each run of plain squares from a
+        kept one.  The squares between them are written over a working copy.
         """
         kept = self._polar_squares
         for k in range(count):
             level, offset = divmod(k, _POLAR_EVERY)
             if offset == 0:
                 if level == len(kept):
-                    e = _times_plus(e, e)
-                    if self.is_unitary:
-                        e = _polar_step(e)
+                    e = _polar_step(_times_plus(e, e))
                     e.flags.writeable = False
                     kept.append(e)
                 e = kept[level]
@@ -188,17 +181,22 @@ def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
     not amplify, while a rounding error in E is doubled by every later
     square.
     Plain repeated squaring drifts off the unitary manifold linearly in m,
-    so when u is unitary every ``_POLAR_EVERY``-th square is snapped back by
-    one Newton-Schulz polar step.  Projecting more often buys nothing: if
-    X^dag X = I + D, then (X^2)^dag X^2 = I + D + X^dag D X, so a square only
-    doubles the Gram defect D (plus its own roundoff), which stays within
-    2^4 roundoffs until the next projection removes it quadratically.  Nor
-    does the defect leak into the unitary part: writing X = W (I + D/2) with
-    W unitary, X^2 = W^2 (I + (W^dag D W + D)/2 + O(D^2)), whose polar factor
-    is W^2 up to O(D^2).  That is 1.5 matrix products per squaring instead
-    of 3.  The projected squares are kept on u (one in ``_POLAR_EVERY``,
-    15 matrices for r just below 2^60) and reused by every later powering of the same
-    operator, which then pays 0.75 products per squaring and no projection.
+    so every ``_POLAR_EVERY``-th square is snapped back by one Newton-Schulz
+    polar step, whatever u's own defect: a q = 16 step at t/r ~ 200 is
+    built up to 4.5e-12 off, and unprojected squares would double that
+    every time.  u must be unitary to roundoff, as every Trotter step is:
+    the projection maps a square to its nearest unitary, so the powers of
+    an operator that is not unitary come out wrong.  Projecting more often
+    buys nothing: if X^dag X = I + D, then (X^2)^dag X^2 = I + D + X^dag D X,
+    so a square only doubles the Gram defect D (plus its own roundoff), which
+    stays within 2^4 roundoffs until the next projection removes it
+    quadratically.  Nor does the defect leak into the unitary part: writing
+    X = W (I + D/2) with W unitary, X^2 = W^2 (I + (W^dag D W + D)/2 + O(D^2)),
+    whose polar factor is W^2 up to O(D^2).  That is 1.5 matrix products per
+    squaring instead of 3.  The projected squares are kept on u (one in
+    ``_POLAR_EVERY``, 15 matrices for r just below 2^60) and reused by every
+    later powering of the same operator, which then pays 0.75 products per
+    squaring and no projection.
     """
     steps = list(steps)
     for m in steps:
@@ -212,16 +210,3 @@ def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
                 out[i] = out[i] + e @ out[i]
     return out
 
-
-def matrix_power(u: SymOperator, r: int) -> SymOperator:
-    """u^r by binary exponentiation, O(log r) matrix products, with u^r - I.
-
-    r = 0 returns the identity.  The power is ``apply_powers`` on the
-    identity; for a unitary input it is re-unitarized once more at the end,
-    so it stays unitary to roundoff for any r.
-    """
-    eye = np.eye(u.n + 1, dtype=complex)
-    delta = apply_powers(u, [r], eye)[0] - eye
-    if r > 1 and u.is_unitary:
-        delta = _polar_step(delta)
-    return SymOperator(u.n, delta)

@@ -2,15 +2,15 @@
 
 A brute-force simulator in the full 2^n-dimensional space, for
 cross-checking the symmetric-subspace evolution at small n, a Trotter step
-built in the Dicke basis from a numerical eigensystem of H_x, and the Dicke
-basis vectors.
+built in the Dicke basis from a numerical eigensystem of H_x, a unitary's
+power through its eigenphases, and the Dicke basis vectors.
 """
 
 from math import sqrt
 
 import numpy as np
 
-from trotterwalk.symspace import COST, MIXER, SymVector, build_hx, check_n, p_weights
+from trotterwalk.symspace import COST, MIXER, SymOperator, SymVector, build_hx, check_n, p_weights
 from trotterwalk.trotter import u_coefficient
 
 MAX_FULL_SPACE_QUBITS = 12
@@ -98,3 +98,16 @@ def dicke_step_delta(n: int, q: int, tau: float, alpha: float) -> np.ndarray:
         return times_plus(outer, times_plus(build(q - 2, (1.0 - 4.0 * u) * tau), outer))
 
     return build(q, tau)
+
+
+def eigenphase_power(u: SymOperator, m: int) -> np.ndarray:
+    """u^m - I of a unitary u through its eigenphases, with no squaring.
+
+    u - u^dag = V diag(-2i sin(theta)) V^dag shares u's eigenvectors, which
+    ``eigh`` finds from E = u - I alone, so an E below machine epsilon of I
+    keeps its digits; each eigenvalue is raised as expm1(m log1p(lambda - 1)).
+    """
+    e = u.delta
+    _, v = np.linalg.eigh(0.5j * (e - e.conj().T))
+    lam_minus_1 = np.einsum("ij,ik,kj->j", v.conj(), e, v)  # v_k^dag E v_k = lambda_k - 1
+    return (v * np.expm1(m * np.log1p(lam_minus_1))) @ v.conj().T

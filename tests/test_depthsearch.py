@@ -46,8 +46,8 @@ def test_numeric_depth_acceptance_postcondition():
         assert res.overlap >= threshold
 
         def overlap_at(r):
-            u = symspace.matrix_power(trotter.step_operator(n, q, ctqw.t_star(n), r), r)
-            return float(abs((u.entries @ symspace.plus_state(n).amp)[0]) ** 2)
+            step = trotter.step_operator(n, q, ctqw.t_star(n), r)
+            return float(abs(symspace.apply_powers(step, [r], symspace.plus_state(n).amp)[0][0]) ** 2)
 
         r_below = depthsearch._steps_at(n, res.d - 1, res.level)
         if r_below < res.r_final:

@@ -10,6 +10,7 @@ which grow like 2^(n/2).
 import numpy as np
 import pytest
 
+from oracle import eigenphase_power
 from trotterwalk import bounds, ctqw, depthsearch, symspace, trotter
 
 EPS_MACH = np.finfo(float).eps
@@ -30,13 +31,20 @@ def test_ladder_matches_eigenphase_power():
     # already cost five digits of the step before any squaring
     n, q, r = 8, 4, 2**40 + 3
     step = trotter.step_operator(n, q, ctqw.t_star(n), r)
-    e = step.delta
-    # S - S^dag = V diag(-2i sin(theta)) V^dag shares S's eigenvectors
-    _, v = np.linalg.eigh(0.5j * (e - e.conj().T))
-    lam_minus_1 = np.einsum("ij,ik,kj->j", v.conj(), e, v)  # v_k^dag E v_k = lambda_k - 1
-    exact = (v * np.expm1(r * np.log1p(lam_minus_1))) @ v.conj().T
-    powered = symspace.matrix_power(step, r)
-    assert np.max(np.abs(powered.delta - exact)) <= 1e-9
+    eye = np.eye(n + 1, dtype=complex)
+    powered = symspace.apply_powers(step, [r], eye)[0] - eye
+    assert np.max(np.abs(powered - eigenphase_power(step, r))) <= 1e-9
+
+
+# the r_final of numeric_optimal_depth(n, 16, 0.01): t*/r ~ 200, where a q = 16
+# step is built 1.2e-12 to 4.5e-12 off unitary
+@pytest.mark.parametrize("n, r", [(44, 15872), (56, 1179648), (68, 89128960), (80, 7717519360)])
+def test_order16_powers_stay_unitary(n, r):
+    # every fourth square is projected, whatever the step's build defect,
+    # which unprojected squares would double each time (measured: at most
+    # 1.4e-14, at n = 80)
+    state = trotter.trotterized_state(n, 16, ctqw.t_star(n), r)
+    assert abs(state.norm() - 1.0) <= 1e-12
 
 
 def test_spectral_error_floor_at_n80():
