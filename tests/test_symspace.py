@@ -106,20 +106,30 @@ def test_matrix_power_trivial():
         _power(u, -1)
 
 
-def test_apply_powers_on_unitary():
-    # every fourth square is projected to its unitary polar factor, so only a
-    # unitary step is powered faithfully; naive products check small m
-    n = 8
-    op = trotter.step_operator(n, 4, ctqw.t_star(n), 64)
-    x = symspace.plus_state(n).amp
-    steps = [0, 1, 5, 16]
+def test_matrix_power_matches_naive_product():
+    op = trotter.step_operator(8, 4, ctqw.t_star(8), 64)
+    naive = np.eye(9, dtype=complex)
+    for _ in range(16):
+        naive = op.entries @ naive
+    assert np.max(np.abs(_power(op, 16).entries - naive)) < 1e-12
+
+
+# only unitary steps are powered: apply_powers projects every fourth square
+# to its unitary polar factor, which would rewrite a non-unitary operator
+@pytest.mark.parametrize("unitary", [True])
+def test_apply_powers_matches_matrix_power(unitary):
+    op = trotter.step_operator(8, 4, ctqw.t_star(8), 64)
+    assert (op.unitarity_defect() <= 1e-12) == unitary
+    x = symspace.plus_state(op.n).amp
+    steps = [0, 1, 5, 2**40 + 3]
     for m, y in zip(steps, symspace.apply_powers(op, steps, x)):
-        naive = x
-        for _ in range(m):
-            naive = op.entries @ naive
-        assert np.max(np.abs(y - naive)) <= 1e-12, m
-    # and the eigenphase power checks m = 2^40 + 3, for the step at t*/m
-    m = 2**40 + 3
+        assert np.max(np.abs(y - _power(op, m).entries @ x)) <= 1e-12, m
+
+
+def test_apply_powers_on_unitary():
+    # the eigenphase power checks m = 2^40 + 3, for the step at t*/m
+    n, m = 8, 2**40 + 3
+    x = symspace.plus_state(n).amp
     op = trotter.step_operator(n, 4, ctqw.t_star(n), m)
     y = symspace.apply_powers(op, [m], x)[0]
     assert np.max(np.abs(y - x - eigenphase_power(op, m) @ x)) <= 1e-9
