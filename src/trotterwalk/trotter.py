@@ -225,8 +225,9 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
 
     Returns (steps_applied, overlap) pairs at `samples` prefix lengths from
     0 to r, spaced linearly or geometrically.  All prefixes share one pass
-    of squarings of the step operator: O(log r) matrix products plus
-    O(samples * log r) matrix-vector products rather than O(r).
+    of squarings of the step operator, O(log r) matrix products, and the
+    states below r are the columns of one block, updated n + 1 at a time:
+    O(log r * samples / n) more products rather than O(r).
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -240,10 +241,13 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
     points = [int(x) for x in np.rint(points)]
     points[-1] = r  # float spacing loses the endpoint once r > 2^53
     steps = sorted(set(points))
-    states = symspace.apply_powers(_mixer_basis_step(n, q, t, r), steps, _plus(n))
-    # the target amplitude as ``trotterized_state`` forms it, so the last samples agree exactly
+    *block, last = symspace.apply_powers(_mixer_basis_step(n, q, t, r), steps, _plus(n))
     w = _mixer_basis(n)
-    return [(m, float(abs((w @ psi)[0]) ** 2)) for m, psi in zip(steps, states)]
+    # the target amplitudes of n + 1 states per product, and the last as
+    # ``trotterized_state`` forms it, so the last samples agree exactly
+    amps = [w[0] @ np.column_stack(block[i : i + n + 1]) for i in range(0, len(block), n + 1)]
+    amps.append([(w @ last)[0]])
+    return [(m, float(abs(a) ** 2)) for m, a in zip(steps, np.concatenate(amps))]
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,22 @@ def test_apply_powers_on_unitary():
         symspace.apply_powers(op, [3, -1], x)
 
 
+@pytest.mark.parametrize("x", ["vector", "matrix"])
+def test_apply_powers_repeated_zero_and_empty(x):
+    # the powers below the largest are carried as columns of one block, and
+    # the largest apart, bit for bit as a lone power
+    op = trotter.step_operator(8, 4, ctqw.t_star(8), 64)
+    x = symspace.plus_state(8).amp if x == "vector" else np.eye(9, dtype=complex)
+    assert symspace.apply_powers(op, [], x) == []
+    steps = [5, 0, 2**40 + 3, 5, 1, 2**40 + 3, 0, 64]
+    out = symspace.apply_powers(op, steps, x)
+    for m, y in zip(steps, out):
+        lone = symspace.apply_powers(op, [m], x)[0]
+        assert y.shape == x.shape and np.max(np.abs(y - lone)) <= 1e-13, m
+        if m in (0, 2**40 + 3):
+            assert y.tobytes() == lone.tobytes(), m
+
+
 def test_powering_leaves_its_operator_untouched():
     # squaring writes its products over a working matrix, never over the step's delta
     step = trotter.step_operator(20, 4, ctqw.t_star(20), 64)

@@ -127,19 +127,31 @@ def test_step_matches_dicke_build(n, q):
 def test_cell_shares_one_powered_step(monkeypatch):
     # state, spectral error and trace of one cell at r > 2^53 reuse the
     # cached step's projected squares: the first powering makes one polar
-    # step per _POLAR_EVERY squarings, and no later one makes any
+    # step per _POLAR_EVERY squarings, and no later one makes any.  A later
+    # powering squares each run from a kept square only up to the run's
+    # highest set bit of r, one _times_plus per plain square
     n, q = 80, 4
     t, r = ctqw.t_star(n), bounds.required_steps(n, q, 0.001)
+    every = symspace._POLAR_EVERY
     trotter._mixer_basis_step.cache_clear()
-    polar, calls = symspace._polar_step, []
+    polar, times_plus, calls, products = symspace._polar_step, symspace._times_plus, [], []
     monkeypatch.setattr(symspace, "_polar_step", lambda e: calls.append(None) or polar(e))
+    monkeypatch.setattr(symspace, "_times_plus", lambda x, y: products.append(None) or times_plus(x, y))
+    passes = []  # _times_plus calls in each spectral-error pass
 
     def cell():
         state = trotter.trotterized_state(n, q, t, r)
-        return state.amp.tobytes(), bounds.spectral_error(n, q, t, r), trotter.overlap_trace(n, q, t, r, samples=41)
+        before = len(products)
+        err = bounds.spectral_error(n, q, t, r)
+        passes.append(len(products) - before)
+        return state.amp.tobytes(), err, trotter.overlap_trace(n, q, t, r, samples=41)
 
     shared = cell()
-    assert len(calls) == (r.bit_length() - 1) // symspace._POLAR_EVERY
+    assert len(calls) == (r.bit_length() - 1) // every
+    lazy = sum(max(((r >> k) & ((1 << every) - 1)).bit_length() - 1, 0) for k in range(0, r.bit_length(), every))
+    assert passes == [lazy]
+    # against the 45 plain squares between the kept ones up to r's top bit
+    assert lazy == 24 and r.bit_length() - 1 - len(calls) == 45
     # the same cell with a fresh, uncached copy of the step in every call
     delta = trotter._mixer_basis_step(n, q, t, r).delta
     monkeypatch.setattr(trotter, "_mixer_basis_step", lambda *args: symspace.SymOperator(n, delta.copy()))
@@ -184,12 +196,29 @@ def test_trotterized_state_matches_full_space(n):
 def test_overlap_trace_endpoints():
     # both power the same cached step through symspace.apply_powers and take
     # the target amplitude as (W psi)[0], so the last sample is exact, also
-    # past r = 2^53 where the step is within machine epsilon of I
-    for n, q, r in ((10, 2, 512), (80, 4, bounds.required_steps(80, 4, 0.001))):
+    # past r = 2^53 where the step is within machine epsilon of I, and when
+    # more samples than r + 1 make points repeat
+    for n, q, r in ((10, 2, 512), (10, 2, 6), (80, 4, bounds.required_steps(80, 4, 0.001))):
         t = ctqw.t_star(n)
-        trace = trotter.overlap_trace(n, q, t, r, samples=9)
-        assert trace[0] == (0, pytest.approx(2.0**-n, rel=1e-12))
-        assert trace[-1] == (r, abs(trotter.trotterized_state(n, q, t, r).amp[0]) ** 2)
+        for spacing in ("linear", "geometric"):
+            trace = trotter.overlap_trace(n, q, t, r, samples=9, spacing=spacing)
+            steps = [m for m, _ in trace]
+            assert steps == sorted(set(steps)) and (len(steps) == 9 if r >= 9 else steps == list(range(r + 1)))
+            assert trace[0] == (0, pytest.approx(2.0**-n, rel=1e-12))
+            assert trace[-1] == (r, abs(trotter.trotterized_state(n, q, t, r).amp[0]) ** 2)
+
+
+@pytest.mark.parametrize("n, q, eps, spacing", [(20, 2, 0.01, "linear"), (20, 2, 0.01, "geometric"), (80, 4, 0.001, "linear")])
+def test_overlap_trace_matches_lone_powers(n, q, eps, spacing):
+    # the trace carries its samples as columns of one block, which may differ
+    # from a lone power's matrix-vector products in the last bits
+    t, r = ctqw.t_star(n), bounds.required_steps(n, q, eps)
+    step, w = trotter._mixer_basis_step(n, q, t, r), trotter._mixer_basis(n)
+    e0 = np.eye(1, n + 1, dtype=complex)[0]
+    trace = trotter.overlap_trace(n, q, t, r, samples=41, spacing=spacing)
+    for m, overlap in trace:
+        lone = abs((w @ symspace.apply_powers(step, [m], e0)[0])[0]) ** 2
+        assert abs(overlap - lone) <= 1e-13, m
 
 
 def test_overlap_trace_geometric_spacing():
