@@ -16,7 +16,7 @@ overlap-deficit budget that happens to share the symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, log, pi, sqrt
+from math import exp, log, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -176,26 +176,24 @@ def analytic_depth_closed(n: int, epsilon: float) -> float:
 
 
 def required_steps(n: int, q: int, epsilon: float) -> int:
-    """Smallest step count r whose error bound at t = t* is within epsilon."""
+    """Smallest step count r whose error bound at t = t* is within epsilon.
+
+    Found on the defining inequality itself, not a closed-form estimate of
+    it: r doubles from 1 until the bound holds, then the last failing and
+    the first meeting r are bisected, about 2 log2(r) evaluations.
+    """
     trotter._check_order(q)
     _check_positive(epsilon=epsilon)
     stages = trotter.stage_count(q)
     ln_d = ln_delta_bound(n, q)
     ts = ctqw.t_star(n)
-    ln_r = (LN2 + (q + 1) * log(stages) + ln_d + (q + 1) * log(ts) - log(q + 1.0) - log(epsilon)) / q
-    # guard the float fence: the smallest r meeting the defining inequality
-    # exactly.  The estimate can be millions of steps off at r ~ 1e21, so
-    # bracket the answer by doubling steps from it, then bisect.
+
     def within(r: int) -> bool:
         return ln_trotter_error_bound(q, ln_d, ts, r, stages) <= log(epsilon)
 
-    hi = max(1, ceil(exp(ln_r)))
-    lo, step = hi - 1, 1  # lo fails (or is 0, below every step count)
+    lo, hi = 0, 1  # lo fails (or is 0, below every step count), hi is the next probe
     while not within(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    step = 1
-    while lo >= 1 and within(lo):
-        hi, lo, step = lo, max(0, lo - step), 2 * step
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if within(mid):

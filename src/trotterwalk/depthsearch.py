@@ -1,21 +1,22 @@
 """Numeric optimal-depth search, Grover baseline, and depth-ratio sweeps.
 
 The search asks: how few Trotter steps r keep the trotterized walk's target
-overlap within epsilon of the exact walk's?  Steps are parametrized as
-r = d * 2^(n/2 - l), and the search runs in two phases.  The first finds
-the smallest accepted d at l = 0: it probes d = 1, 2, 4, ... (the last
-probe capped at 1 + D_CAP) until the overlap condition holds, then bisects
-between the last rejected d and the accepted one.  The second halves the
-resolution for LEVELS - 1 further levels: it probes 2d - 1 at l + 1 once
-and, if that is rejected, takes 2d, which repeats the step count accepted
-at l.  epsilon here is an overlap deficit, not the spectral budget used by
-the analytic bounds; sweep records pair the numeric depth with the
-closed-form analytic depth at the same nominal value.
+overlap within epsilon of the exact walk's?  Step counts lie on the grid
+r = d * 2^(n/2 - l) at l = LEVELS - 1, so one level-0 multiplier, a step
+count of about 2^(n/2), spans 2^l grid points.  The search probes one,
+two, four, ... level-0 multipliers (the last probe capped at 1 + D_CAP)
+until the overlap condition holds, then bisects between the last rejected
+step count and the accepted one down to one grid point, on whole level-0
+multipliers while the bracket spans more than one.  epsilon here is an
+overlap deficit, not the spectral budget used by the analytic bounds;
+sweep records pair the numeric depth with the closed-form analytic depth
+at the same nominal value.
 
-Bisection needs a rejected step count to stay rejected.  At level 0 each
-step covers tau = t*/r = pi/(2d) <= pi/2, well below the tau of about 2 to 9
-where the q = 8 deficit oscillates in r; the refinement levels, which can
-reach that window, probe one neighbour at a time instead.
+Bisection needs a rejected step count to stay rejected.  While it works on
+whole level-0 multipliers each step covers tau = t*/r = pi/(2d) <= pi/2,
+well below the tau of about 2 to 9 where the q = 8 deficit oscillates in
+r; its finer halvings can reach that window, where the bisection returns
+one crossing of the budget, not necessarily the first.
 """
 
 from __future__ import annotations
@@ -68,19 +69,17 @@ def _steps_at(n: int, d: int, level: int) -> int:
 def numeric_optimal_depth(n: int, q: int, epsilon_overlap: float) -> DepthSearchResult:
     """Search for a depth reaching the walk overlap within epsilon.
 
-    Deterministic in all arguments.  Level 0 finds the smallest step
-    multiplier d in 1..1+D_CAP with |<e_0|S_q^r|+>|^2 >= reference - epsilon,
-    by doubling d from 1 and then bisecting, and raises DepthSearchError if
-    d = 1 + D_CAP fails too.  Each of levels 1..LEVELS-1 halves
-    the resolution: it tries d -> 2d - 1 and otherwise keeps d -> 2d, the
-    step count already accepted.  The returned depth is r * 5^(q/2-1) at
-    the step count of level LEVELS - 1.
+    Deterministic in all arguments.  Returns the depth r * 5^(q/2-1) of a
+    step count r on the grid of the module docstring with
+    |<e_0|S_q^r|+>|^2 >= reference - epsilon whose grid neighbour below it is
+    rejected.  The search doubles from one level-0 multiplier and raises
+    DepthSearchError if 1 + D_CAP multipliers fail too; then it bisects.
 
-    That is the smallest depth on the dyadic grid only while a rejected step
+    That is the smallest depth on the grid only while a rejected step
     count stays rejected, as at q = 2 and 4.  At q = 8 the deficit is not
-    monotone in r, and the result is the search's first crossing on its
-    grid: at (44, 8, 0.01) r = 0.727 r_final also meets the budget.  Level
-    0's bisection relies on the same assumption, but only at
+    monotone in r, and the result is the crossing the bisection lands on:
+    at (44, 8, 0.01) r = 0.727 r_final also meets the budget.  Bisecting
+    whole level-0 multipliers relies on the same assumption, but only at
     tau = t*/r <= pi/2, below the tau of about 2 to 9 where q = 8 oscillates.
     """
     search = _depth_search(n, q, epsilon_overlap, {})
@@ -96,9 +95,10 @@ def _depth_search(
 ) -> Generator[int, None, DepthSearchResult]:
     """The search of ``numeric_optimal_depth``, one rejected step count at a time.
 
-    After each rejected step count r, except at d = 1 + D_CAP, which ends
-    the level-0 scan, it yields stages(q) * (r + 1): no depth it can still
-    return is smaller.  It returns the DepthSearchResult or raises DepthSearchError.
+    After each rejected step count r, except at the capped probe of
+    1 + D_CAP level-0 multipliers, which ends the scan, it yields
+    stages(q) * (r + 1): no depth it can still return is smaller.  It
+    returns the DepthSearchResult or raises DepthSearchError.
     ``overlaps`` maps step counts to target overlaps at this (n, q); the
     search reads it and adds what it evaluates, so searches at other
     budgets that share it evaluate each step count once.
@@ -119,39 +119,32 @@ def _depth_search(
         used[r] = hit
         return hit
 
-    # phase 1: the smallest accepted d in 1..1+D_CAP at level 0.  Probe
-    # d = 1, 2, 4, ... until one is accepted, then bisect between it and the
-    # last rejected d.  Every step count still reachable exceeds a rejected r:
-    # the search only probes larger d, later levels refine an accepted d' > d
-    # to more than (d' - 1) * 2^(n/2), and a rejected r stays rejected.
-    # d = 1 + D_CAP yields nothing, so an exhausted scan raises at once.
-    scanned = D_CAP + 1
-    rejected, d = 0, 1
-    while overlap_at(r := _steps_at(n, d, 0)) < threshold:
-        if d == scanned:
+    # double, then bisect (rejected, d] on the grid of the module docstring.
+    # Every step count still reachable exceeds a rejected r: the search only
+    # probes above a rejected d, and a rejected r stays rejected.  The capped
+    # probe yields nothing, so an exhausted scan raises at once.
+    level = LEVELS - 1
+    whole = 2**level  # the grid points in one level-0 multiplier
+    cap = (D_CAP + 1) * whole
+    rejected, d = 0, whole
+    while overlap_at(r := _steps_at(n, d, level)) < threshold:
+        if d == cap:
             raise DepthSearchError(
                 f"no accepted step count for n={n}, q={q}, eps={epsilon_overlap}: "
-                f"scanned {scanned} multipliers at level 0, best overlap "
+                f"scanned {D_CAP + 1} multipliers at level 0, best overlap "
                 f"{max(used.values()):.6f} < threshold {threshold:.6f}"
             )
         yield stages * (r + 1)
-        rejected, d = d, min(2 * d, scanned)
+        rejected, d = d, min(2 * d, cap)
     while d - rejected > 1:
         mid = (rejected + d) // 2
-        if overlap_at(r := _steps_at(n, mid, 0)) >= threshold:
+        if d - rejected > whole:  # whole multipliers first, where tau <= pi/2
+            mid -= mid % whole
+        if overlap_at(r := _steps_at(n, mid, level)) >= threshold:
             d = mid
         else:
             yield stages * (r + 1)
             rejected = mid
-    # phase 2: probe 2d - 1 once; 2d repeats the step count accepted one level up
-    for level in range(1, LEVELS):
-        r = _steps_at(n, 2 * d - 1, level)
-        if overlap_at(r) >= threshold:
-            d = 2 * d - 1
-        else:
-            yield stages * (r + 1)
-            d = 2 * d
-    level = LEVELS - 1
     r_final = _steps_at(n, d, level)
     return DepthSearchResult(
         n=n,
@@ -226,11 +219,11 @@ def sweep_cell(n: int, epsilon: float, orders=SWEEP_ORDERS) -> tuple[SweepRecord
     the next step, and the cell stops once the smallest bound exceeds the
     best finished depth.  The result equals a full search of every order.
     Each order's depth is what ``numeric_optimal_depth`` returns: at q = 8,
-    the search's first crossing on its dyadic grid, not the smallest depth
-    that meets the budget.
+    the crossing its bisection lands on, not the smallest depth that meets
+    the budget.
 
     Orders whose search fails are skipped.  A search fails only in its
-    level-0 scan, which implies that order needs more than
+    doubling scan, which implies that order needs more than
     (D_CAP+1) * 2^(n/2) steps, so failures that provably cannot beat the
     best surviving depth are dropped as benign; only decisive failures are
     returned, in the order of ``orders``.  An unfinished order could only

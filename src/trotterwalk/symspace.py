@@ -226,12 +226,16 @@ def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
     (rows, width), stride = columns.shape, len(others)
     # column i of the j-th power's x is the block's column i * stride + j
     block = columns.repeat(stride, axis=1)
+    # bit k of others[j] is bit k % 8 of table[j, k // 8]; the powers may pass 2^64
+    size = below.bit_length() // 8 + 1
+    table = np.fromiter((m.to_bytes(size, "little") for m in others), f"S{size}", stride)
+    table = table.view(np.uint8).reshape(stride, size)
     y = x
     for k, e in u._squares(top | below):
         if (top >> k) & 1:
             y = y + e @ y
         if (below >> k) & 1:
-            cols = [i * stride + j for i in range(width) for j, m in enumerate(others) if (m >> k) & 1]
+            cols = np.flatnonzero(np.tile((table[:, k // 8] >> k % 8) & 1, width))
             for start in range(0, len(cols), rows):
                 part = cols[start : start + rows]
                 sub = block[:, part]

@@ -179,8 +179,24 @@ def test_required_steps_monotone_in_epsilon():
     assert rs[0] >= rs[1] >= rs[2]
 
 
+def test_required_steps_is_the_smallest_step_count_within_its_bound():
+    # the defining inequality holds at r and fails at r - 1, from r = 1 to past 2^64
+    found = set()
+    for n, q, eps in itertools.product((1, 2, 10, 44, 80), (2, 4, 8, 16), (1e-9, 1e-3, 0.1, 1e3)):
+        stages, ln_d, ts = trotter.stage_count(q), bounds.ln_delta_bound(n, q), ctqw.t_star(n)
+
+        def within(r):
+            return bounds.ln_trotter_error_bound(q, ln_d, ts, r, stages) <= math.log(eps)
+
+        r = bounds.required_steps(n, q, eps)
+        assert within(r) and (r == 1 or not within(r - 1)), (n, q, eps)
+        found.add(r)
+    assert 1 in found and max(found) > 2**64
+
+
 def test_required_steps_bisects_far_from_its_estimate(monkeypatch):
-    # at r ~ 2e21 the closed-form estimate is about 8e6 steps off the answer
+    # at r ~ 2e21 a closed-form estimate of r is about 8e6 steps off the
+    # answer; doubling from r = 1 and bisecting takes about 2 log2(r) calls
     calls = 0
     inner = bounds.ln_trotter_error_bound
 

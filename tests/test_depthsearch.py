@@ -105,8 +105,8 @@ def test_numeric_depth_rejects_bad_budget():
 
 
 def test_zero_d_cap_refines_past_the_first_level(monkeypatch):
-    # level 0 probes d = 1 only; every later level probes 2d' - 1 and 2d',
-    # and 2d' repeats the step count accepted one level up
+    # the scan probes one level-0 multiplier only, and the bisection then
+    # halves the grid LEVELS - 1 times below it
     monkeypatch.setattr(depthsearch, "D_CAP", 0)
     res = depthsearch.numeric_optimal_depth(4, 2, 0.1)
     assert res.level == depthsearch.LEVELS - 1
@@ -191,6 +191,41 @@ def test_exhausted_scan_at_the_default_cap_probes_by_doubling(monkeypatch):
     with pytest.raises(depthsearch.DepthSearchError, match="scanned 4097 multipliers at level 0"):
         depthsearch.numeric_optimal_depth(64, 2, 0.01)
     assert calls == [depthsearch._steps_at(64, d, 0) for d in [*(2**k for k in range(13)), 4097]]
+
+
+@pytest.mark.parametrize(
+    "n, q, eps, d_cap, probes, r_final",
+    [
+        # the q = 8 deficit is not monotone in r here, so the crossing the
+        # bisection lands on depends on the order of its probes: one level-0
+        # multiplier is accepted at once, then 14 halvings of the bracket
+        (44, 8, 0.01, 4096, [
+            4194304, 2097152, 1048576, 524288, 786432, 655360, 720896, 753664,
+            770048, 761856, 757760, 759808, 760832, 760320, 760576,
+        ], 760832),
+        # a cap of 7 level-0 multipliers leaves the bracket (4, 7]: its
+        # midpoints are rounded down to whole multipliers, 5 and then 6
+        (40, 4, 0.001, 6, [
+            1048576, 2097152, 4194304, 7340032, 5242880, 6291456, 6815744,
+            6553600, 6684672, 6619136, 6586368, 6602752, 6610944, 6606848,
+            6608896, 6607872, 6608384, 6608128, 6608000, 6607936,
+        ], 6607936),
+    ],
+    ids=["q8-not-monotone", "capped-scan"],
+)
+def test_search_probes_in_a_fixed_order(n, q, eps, d_cap, probes, r_final, monkeypatch):
+    monkeypatch.setattr(depthsearch, "D_CAP", d_cap)
+    calls = []
+    original = depthsearch.trotter.trotterized_state
+
+    def counted(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(depthsearch.trotter, "trotterized_state", counted)
+    res = depthsearch.numeric_optimal_depth(n, q, eps)
+    assert calls == probes
+    assert (res.r_final, res.evaluations) == (r_final, len(probes))
 
 
 def linear_scan(n, q, epsilon):

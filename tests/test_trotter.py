@@ -91,6 +91,19 @@ def test_step_operator_is_read_only():
     assert u.delta.tobytes() == delta and u.entries[0, 0] != 0.0
 
 
+@pytest.mark.parametrize("q", [2, 4, 6, 8, 16])
+@pytest.mark.parametrize("n", [10, 80])
+def test_step_is_complex_symmetric(n, q):
+    # in the mixer basis a step is a palindrome of complex symmetric factors,
+    # so E = E^T up to roundoff.  Measured at most 8.6e-16 relative for
+    # q <= 8, and 9.0e-16 and 1.05e-14 for q = 16 at n = 10 and 80; the
+    # bounds are about 5 times those
+    bound = 4e-15 if q <= 8 else {10: 5e-15, 80: 5e-14}[n]
+    for r in (round(2 ** (n / 2)), 1000):
+        e = trotter._mixer_basis_step(n, q, ctqw.t_star(n), r).delta
+        assert np.max(np.abs(e - e.T)) <= bound * np.max(np.abs(e)), r
+
+
 @pytest.mark.parametrize("n", [1, 2, 44, 80])
 def test_mixer_basis_is_exact(n):
     # W is built from exact Krawtchouk integers; eigh's vectors of H_x miss
