@@ -250,9 +250,9 @@ def run_depth_search(config: ExperimentConfig):
             errors.append(asdict(res))
             continue
         rows.append(
-            (res.n, res.q, res.epsilon, res.r_final, res.p_numerical, res.overlap, res.reference, res.d, res.level, res.evaluations)
+            (res.n, res.q, res.epsilon, res.r_final, res.p_numerical, res.overlap, res.reference, res.d, res.evaluations)
         )
-    header = ["n", "q", "epsilon_overlap", "r_final", "p_numerical", "overlap", "reference_overlap", "d_final", "level", "evaluations"]
+    header = ["n", "q", "epsilon_overlap", "r_final", "p_numerical", "overlap", "reference_overlap", "d_final", "evaluations"]
     return header, rows, {"epsilon_role": "overlap"}, errors
 
 

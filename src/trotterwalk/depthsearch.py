@@ -1,22 +1,23 @@
 """Numeric optimal-depth search, Grover baseline, and depth-ratio sweeps.
 
 The search asks: how few Trotter steps r keep the trotterized walk's target
-overlap within epsilon of the exact walk's?  Step counts lie on the grid
-r = d * 2^(n/2 - l) at l = LEVELS - 1, so one level-0 multiplier, a step
-count of about 2^(n/2), spans 2^l grid points.  The search probes one,
-two, four, ... level-0 multipliers (the last probe capped at 1 + D_CAP)
-until the overlap condition holds, then bisects between the last rejected
-step count and the accepted one down to one grid point, on whole level-0
-multipliers while the bracket spans more than one.  epsilon here is an
-overlap deficit, not the spectral budget used by the analytic bounds;
-sweep records pair the numeric depth with the closed-form analytic depth
-at the same nominal value.
+overlap within epsilon of the exact walk's?  Step counts lie on one grid,
+r = d * 2^(n/2 - (LEVELS - 1)), with 2^(LEVELS - 1) grid points per
+multiplier of 2^(n/2).  The search probes one, two, four, ... multipliers
+(the last probe capped at 1 + D_CAP) until the overlap condition holds,
+then bisects between the last rejected step count and the accepted one
+down to one grid point.  epsilon here is an overlap deficit, not the
+spectral budget used by the analytic bounds; sweep records pair the
+numeric depth with the closed-form analytic depth at the same nominal
+value.
 
-Bisection needs a rejected step count to stay rejected.  While it works on
-whole level-0 multipliers each step covers tau = t*/r = pi/(2d) <= pi/2,
-well below the tau of about 2 to 9 where the q = 8 deficit oscillates in
-r; its finer halvings can reach that window, where the bisection returns
-one crossing of the budget, not necessarily the first.
+Bisection needs a rejected step count to stay rejected.  At the default
+D_CAP the doubling leaves a bracket of power-of-two width, so while it
+spans more than one multiplier its midpoints are whole multipliers d, where
+each step covers tau = t*/r = pi/(2d) <= pi/2, well below the tau of about
+2 to 9 where the q = 8 deficit oscillates in r; its finer halvings can
+reach that window, where the bisection returns one crossing of the budget,
+not necessarily the first.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 
 from . import bounds, ctqw, symspace, trotter
 
-LEVELS = 15  # level 0 and LEVELS - 1 halvings of the step-count grid; read when a search runs
-D_CAP = 4096  # the level-0 scan covers d = 1..1+D_CAP; read when a search runs
+LEVELS = 15  # 2^(LEVELS - 1) grid points per multiplier of 2^(n/2); read when a search runs
+D_CAP = 4096  # the doubling scan covers 1..1+D_CAP multipliers; read when a search runs
 SWEEP_ORDERS = (2, 4, 6, 8)
 
 
@@ -43,7 +44,7 @@ def reference_overlap(n: int) -> float:
 
 
 class DepthSearchError(RuntimeError):
-    """Raised when the level-0 d-scan exhausts its budget without acceptance."""
+    """Raised when the doubling scan reaches 1 + D_CAP multipliers without acceptance."""
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,14 @@ class DepthSearchResult:
     p_numerical: int
     r_final: int
     d: int
-    level: int
     overlap: float
     reference: float
     evaluations: int
 
 
-def _steps_at(n: int, d: int, level: int) -> int:
-    return max(1, round(d * 2.0 ** (0.5 * n - level)))
+def _steps_at(n: int, d: int) -> int:
+    """The step count at grid point d: 2^(LEVELS - 1) grid points per multiplier of 2^(n/2)."""
+    return max(1, round(d * 2.0 ** (0.5 * n - (LEVELS - 1))))
 
 
 def numeric_optimal_depth(n: int, q: int, epsilon_overlap: float) -> DepthSearchResult:
@@ -72,14 +73,14 @@ def numeric_optimal_depth(n: int, q: int, epsilon_overlap: float) -> DepthSearch
     Deterministic in all arguments.  Returns the depth r * 5^(q/2-1) of a
     step count r on the grid of the module docstring with
     |<e_0|S_q^r|+>|^2 >= reference - epsilon whose grid neighbour below it is
-    rejected.  The search doubles from one level-0 multiplier and raises
+    rejected.  The search doubles from one multiplier of 2^(n/2) and raises
     DepthSearchError if 1 + D_CAP multipliers fail too; then it bisects.
 
     That is the smallest depth on the grid only while a rejected step
     count stays rejected, as at q = 2 and 4.  At q = 8 the deficit is not
     monotone in r, and the result is the crossing the bisection lands on:
     at (44, 8, 0.01) r = 0.727 r_final also meets the budget.  Bisecting
-    whole level-0 multipliers relies on the same assumption, but only at
+    whole multipliers relies on the same assumption, but only at
     tau = t*/r <= pi/2, below the tau of about 2 to 9 where q = 8 oscillates.
     """
     search = _depth_search(n, q, epsilon_overlap, {})
@@ -95,8 +96,9 @@ def _depth_search(
 ) -> Generator[int, None, DepthSearchResult]:
     """The search of ``numeric_optimal_depth``, one rejected step count at a time.
 
-    After each rejected step count r, except at the capped probe of
-    1 + D_CAP level-0 multipliers, which ends the scan, it yields
+    After each rejected step count r on the grid of the module docstring,
+    except at the capped probe of 1 + D_CAP multipliers, which ends the
+    scan, it yields
     stages(q) * (r + 1): no depth it can still return is smaller.  It
     returns the DepthSearchResult or raises DepthSearchError.
     ``overlaps`` maps step counts to target overlaps at this (n, q); the
@@ -123,11 +125,9 @@ def _depth_search(
     # Every step count still reachable exceeds a rejected r: the search only
     # probes above a rejected d, and a rejected r stays rejected.  The capped
     # probe yields nothing, so an exhausted scan raises at once.
-    level = LEVELS - 1
-    whole = 2**level  # the grid points in one level-0 multiplier
-    cap = (D_CAP + 1) * whole
-    rejected, d = 0, whole
-    while overlap_at(r := _steps_at(n, d, level)) < threshold:
+    rejected, d = 0, 2 ** (LEVELS - 1)  # one multiplier
+    cap = (D_CAP + 1) * d
+    while overlap_at(r := _steps_at(n, d)) < threshold:
         if d == cap:
             raise DepthSearchError(
                 f"no accepted step count for n={n}, q={q}, eps={epsilon_overlap}: "
@@ -138,14 +138,12 @@ def _depth_search(
         rejected, d = d, min(2 * d, cap)
     while d - rejected > 1:
         mid = (rejected + d) // 2
-        if d - rejected > whole:  # whole multipliers first, where tau <= pi/2
-            mid -= mid % whole
-        if overlap_at(r := _steps_at(n, mid, level)) >= threshold:
+        if overlap_at(r := _steps_at(n, mid)) >= threshold:
             d = mid
         else:
             yield stages * (r + 1)
             rejected = mid
-    r_final = _steps_at(n, d, level)
+    r_final = _steps_at(n, d)
     return DepthSearchResult(
         n=n,
         q=q,
@@ -153,7 +151,6 @@ def _depth_search(
         p_numerical=r_final * stages,
         r_final=r_final,
         d=d,
-        level=level,
         overlap=overlap_at(r_final),
         reference=reference_overlap(n),
         evaluations=len(used),
@@ -271,7 +268,8 @@ def _best_first(
         return None, failed
     p_best, rank_best = best
     # a failed order's depth exceeds stages(q) times the last step count its scan rejected
-    decisive = [f for f in failed if trotter.stage_count(f.q) * _steps_at(n, D_CAP + 1, 0) <= p_best]
+    capped = _steps_at(n, (D_CAP + 1) * 2 ** (LEVELS - 1))
+    decisive = [f for f in failed if trotter.stage_count(f.q) * capped <= p_best]
     p_analytic = bounds.analytic_depth_closed(n, epsilon)
     record = SweepRecord(
         n=n,

@@ -82,15 +82,13 @@ def merge_adjacent(factors: Sequence[Factor]) -> list[Factor]:
 
 
 def group_sequence(q: int, r: int, t: float) -> tuple[Factor, ...]:
-    """Concatenate r steps at t/r each and merge across step boundaries.
+    """r steps at t/r each, merged across step boundaries: the factors of ``qaoa_angles(q, t, r)``.
 
     The result alternates mixer/cost factors, starting and ending on a
     mixer, with per-generator coefficients summing to t; its
     r * stage_count(q) cost factors are the QAOA depth.
     """
-    _check_order(q)
-    _check_steps(r)
-    return tuple(merge_adjacent(suzuki_coefficients(q, t / r) * r))
+    return tuple(_angles_to_factors(qaoa_angles(q, t, r)))
 
 
 @lru_cache(maxsize=None)

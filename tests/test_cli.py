@@ -522,7 +522,7 @@ def test_partial_failure_exit_code(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("experiment, orders", [("depth-search", ["--order", "2"]), ("ratio-sweep", ["--orders", "2,4"])])
 def test_failed_cells_through_the_pool(experiment, orders, tmp_path, monkeypatch):
-    # with a level-0 scan of d = 1 only, q = 2 fails in every cell (in
+    # with a scan of one multiplier only, q = 2 fails in every cell (in
     # ratio-sweep decisively, beside q = 4); the forked child computes
     # n = 8 and the calling process n = 10, on a host of any CPU count
     monkeypatch.setattr(depthsearch, "D_CAP", 0)

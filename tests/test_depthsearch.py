@@ -25,6 +25,11 @@ def test_reference_overlap_deficit_stable():
     assert max(cs) <= 2 * min(cs)
 
 
+def steps_at_multiplier(n, d):
+    """The step count d * 2^(n/2) on the search grid: d whole multipliers."""
+    return depthsearch._steps_at(n, d * 2 ** (depthsearch.LEVELS - 1))
+
+
 def test_numeric_depth_deterministic():
     a = depthsearch.numeric_optimal_depth(10, 2, 0.05)
     b = depthsearch.numeric_optimal_depth(10, 2, 0.05)
@@ -49,7 +54,7 @@ def test_numeric_depth_acceptance_postcondition():
             step = trotter.step_operator(n, q, ctqw.t_star(n), r)
             return float(abs(symspace.apply_powers(step, [r], symspace.plus_state(n).amp)[0][0]) ** 2)
 
-        r_below = depthsearch._steps_at(n, res.d - 1, res.level)
+        r_below = depthsearch._steps_at(n, res.d - 1)
         if r_below < res.r_final:
             assert overlap_at(r_below) < threshold
 
@@ -61,7 +66,7 @@ def test_numeric_depth_invariants_at_large_n(n):
     res = depthsearch.numeric_optimal_depth(n, 8, eps)
     threshold = res.reference - eps
     assert res.overlap >= threshold
-    r_below = depthsearch._steps_at(n, res.d - 1, res.level)
+    r_below = depthsearch._steps_at(n, res.d - 1)
     assert r_below < res.r_final
     state = trotter.trotterized_state(n, 8, ctqw.t_star(n), r_below)
     assert abs(state.amp[0]) ** 2 < threshold
@@ -79,7 +84,7 @@ def test_q8_depth_is_a_crossing_not_the_smallest():
     def accepted(r):
         return abs(trotter.trotterized_state(n, q, ctqw.t_star(n), r).amp[0]) ** 2 >= threshold
 
-    r_below = depthsearch._steps_at(n, res.d - 1, res.level)
+    r_below = depthsearch._steps_at(n, res.d - 1)
     assert [accepted(r) for r in (552820, r_below, res.r_final)] == [True, False, True]
 
 
@@ -105,23 +110,23 @@ def test_numeric_depth_rejects_bad_budget():
 
 
 def test_zero_d_cap_refines_past_the_first_level(monkeypatch):
-    # the scan probes one level-0 multiplier only, and the bisection then
-    # halves the grid LEVELS - 1 times below it
+    # the scan probes one multiplier only, and the bisection then halves
+    # the bracket (0, 1 multiplier] LEVELS - 1 times
     monkeypatch.setattr(depthsearch, "D_CAP", 0)
     res = depthsearch.numeric_optimal_depth(4, 2, 0.1)
-    assert res.level == depthsearch.LEVELS - 1
+    assert res.d < 2 ** (depthsearch.LEVELS - 1)
     assert res.p_numerical == 3
     record, failures = depthsearch.sweep_cell(4, 0.1)
     assert (record.q, record.p_numerical, failures) == (2, 3, [])
 
 
 def test_one_level_search_stops_at_the_scan(monkeypatch):
-    # LEVELS is read when a search runs: with one level the search ends at
-    # the level-0 scan's accepted multiplier
+    # LEVELS is read when a search runs: with one level the grid points are
+    # whole multipliers, and the search ends at the scan's accepted one
     monkeypatch.setattr(depthsearch, "LEVELS", 1)
     res = depthsearch.numeric_optimal_depth(10, 2, 0.05)
-    assert (res.level, res.d, res.evaluations) == (0, 2, 2)
-    assert res.r_final == 64 == depthsearch._steps_at(10, 2, 0)
+    assert (res.d, res.evaluations) == (2, 2)
+    assert res.r_final == 64 == depthsearch._steps_at(10, 2)
     record, _ = depthsearch.sweep_cell(10, 0.05)
     assert record.p_numerical == 64
 
@@ -159,7 +164,7 @@ def test_depth_search_error_crosses_processes(monkeypatch):
 
 @pytest.mark.parametrize("d_cap", [0, 2, 6])
 def test_depth_search_error_counts_evaluated_multipliers(d_cap, monkeypatch):
-    # the level-0 scan covers d = 1 through 1 + D_CAP, the count its message
+    # the scan covers multipliers d = 1 through 1 + D_CAP, the count its message
     # names, and evaluates only its doubling probes; (16, 2, 0.001) first
     # accepts d = 8
     probes = {0: [1], 2: [1, 2, 3], 6: [1, 2, 4, 7]}[d_cap]
@@ -174,7 +179,7 @@ def test_depth_search_error_counts_evaluated_multipliers(d_cap, monkeypatch):
     monkeypatch.setattr(depthsearch.trotter, "trotterized_state", counted)
     with pytest.raises(depthsearch.DepthSearchError, match=f"scanned {d_cap + 1} multipliers at level 0"):
         depthsearch.numeric_optimal_depth(16, 2, 0.001)
-    assert calls == [depthsearch._steps_at(16, d, 0) for d in probes]
+    assert calls == [steps_at_multiplier(16, d) for d in probes]
 
 
 def test_exhausted_scan_at_the_default_cap_probes_by_doubling(monkeypatch):
@@ -190,25 +195,26 @@ def test_exhausted_scan_at_the_default_cap_probes_by_doubling(monkeypatch):
     monkeypatch.setattr(depthsearch.trotter, "trotterized_state", counted)
     with pytest.raises(depthsearch.DepthSearchError, match="scanned 4097 multipliers at level 0"):
         depthsearch.numeric_optimal_depth(64, 2, 0.01)
-    assert calls == [depthsearch._steps_at(64, d, 0) for d in [*(2**k for k in range(13)), 4097]]
+    assert calls == [steps_at_multiplier(64, d) for d in [*(2**k for k in range(13)), 4097]]
 
 
 @pytest.mark.parametrize(
     "n, q, eps, d_cap, probes, r_final",
     [
         # the q = 8 deficit is not monotone in r here, so the crossing the
-        # bisection lands on depends on the order of its probes: one level-0
+        # bisection lands on depends on the order of its probes: one
         # multiplier is accepted at once, then 14 halvings of the bracket
         (44, 8, 0.01, 4096, [
             4194304, 2097152, 1048576, 524288, 786432, 655360, 720896, 753664,
             770048, 761856, 757760, 759808, 760832, 760320, 760576,
         ], 760832),
-        # a cap of 7 level-0 multipliers leaves the bracket (4, 7]: its
-        # midpoints are rounded down to whole multipliers, 5 and then 6
+        # a cap of 7 multipliers leaves the bracket (4, 7], three multipliers
+        # wide: its first midpoints are 5.5 and 6.25 multipliers, off the
+        # whole ones, and the bisection still ends at r_final after 20 probes
         (40, 4, 0.001, 6, [
-            1048576, 2097152, 4194304, 7340032, 5242880, 6291456, 6815744,
-            6553600, 6684672, 6619136, 6586368, 6602752, 6610944, 6606848,
-            6608896, 6607872, 6608384, 6608128, 6608000, 6607936,
+            1048576, 2097152, 4194304, 7340032, 5767168, 6553600, 6946816,
+            6750208, 6651904, 6602752, 6627328, 6615040, 6608896, 6605824,
+            6607360, 6608128, 6607744, 6607936, 6607808, 6607872,
         ], 6607936),
     ],
     ids=["q8-not-monotone", "capped-scan"],
@@ -229,10 +235,10 @@ def test_search_probes_in_a_fixed_order(n, q, eps, d_cap, probes, r_final, monke
 
 
 def linear_scan(n, q, epsilon):
-    """Reference for the level-0 search: the first accepted d in 1..1+D_CAP, tried one by one."""
+    """Reference for the doubling scan: the first accepted multiplier d in 1..1+D_CAP, tried one by one."""
     threshold = depthsearch.reference_overlap(n) - epsilon
     for d in range(1, depthsearch.D_CAP + 2):
-        state = trotter.trotterized_state(n, q, ctqw.t_star(n), depthsearch._steps_at(n, d, 0))
+        state = trotter.trotterized_state(n, q, ctqw.t_star(n), steps_at_multiplier(n, d))
         if abs(state.amp[0]) ** 2 >= threshold:
             return d
     return None
@@ -327,7 +333,7 @@ def exhaustive_sweep_cell(n, epsilon, orders=depthsearch.SWEEP_ORDERS):
         try:
             res = depthsearch.numeric_optimal_depth(n, q, epsilon)
         except depthsearch.DepthSearchError as err:
-            p_lower = trotter.stage_count(q) * depthsearch._steps_at(n, depthsearch.D_CAP + 1, 0)
+            p_lower = trotter.stage_count(q) * steps_at_multiplier(n, depthsearch.D_CAP + 1)
             failures.append((depthsearch.CellFailure(n, epsilon, q, str(err)), p_lower))
             continue
         if best is None or res.p_numerical < best.p_numerical:  # ties keep the earlier order
@@ -432,3 +438,20 @@ def test_sweep_cells_evaluates_each_step_count_once(monkeypatch):
     calls.clear()
     assert depthsearch.sweep_cells(24, [0.1, 0.01]) == single
     assert sorted(calls) == sorted(used)
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (40, [(8, 24504000), (6, 20604800), (6, 16950400)]),
+        (48, [(8, 525184000), (8, 360064000), (8, 359552000)]),
+        (56, [(8, 10043392000), (8, 9058304000), (8, 8398848000)]),
+    ],
+)
+def test_sweep_rows_past_the_golden_sizes(n, rows):
+    # the golden gate stops at n = 24; these are the README sweep's
+    # (q_best, p_numerical) at epsilon = 0.001, 0.01 and 0.1, the same with
+    # 1 and 2 BLAS threads.  Sizes from n = 72 on are left out: roundoff
+    # decides their q = 8 depths
+    cells = depthsearch.sweep_cells(n, [0.001, 0.01, 0.1])
+    assert [(record.q, record.p_numerical, failures) for record, failures in cells] == [(*row, []) for row in rows]
