@@ -18,10 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
+import signal
 import sys
 import time
+import traceback
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from math import asin, ceil, pi
@@ -174,8 +176,12 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.workers < 0:
         errors.append(f"--workers must be >= 0 (0 = one per CPU), got {config.workers}")
     # the CPUs this process may run on, which taskset or a cpuset can make fewer
-    # than os.cpu_count(); 0 means one worker per CPU, and no count exceeds them
+    # than os.cpu_count(); 0 means one worker per CPU, and no count exceeds them.
+    # Only Linux forks children: Windows has no os.fork, and macOS's system
+    # libraries are not fork-safe
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if sys.platform != "linux":
+        cpus = 1
     config.workers = min(config.workers or cpus, cpus)
     if config.experiment in ("overlap-trace", "grover-curve") and len(config.ns) != 1:
         errors.append(f"{config.experiment} needs exactly one system size")
@@ -369,34 +375,105 @@ FLAGS = {
     "--samples": ("samples", {"type": int, "help": f"trace sample count (at most {MAX_ROWS})"}),
     "--spacing": ("spacing", {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
     "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {MAX_ROWS})"}),
-    "--workers": ("workers", {"type": int, "help": "processes that compute, the calling one among them (default or 0: one per usable CPU, which also caps it)"}),
+    "--workers": ("workers", {"type": int, "help": "processes that take cells from one queue, the calling one and the children it forks, on Linux only (default or 0: one per usable CPU, which also caps it)"}),
     "--out": ("out", {"help": f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)"}),
 }
 
 
+def _claim_cells(fn, cells: list, token: tuple[int, int]):
+    """Claim cells from the token pipe and yield ``(index, ok, fn(cell) or its exception)``.
+
+    The pipe holds one token, the index of the next unclaimed cell: a claim
+    reads it and writes back the next index.  After a failed cell the next
+    read writes back ``len(cells)``, so no process claims another cell.
+    """
+    read_end, write_end = token
+    failed = False
+    while True:
+        index = int.from_bytes(os.read(read_end, 8), "little")
+        claimed = index < len(cells) and not failed
+        os.write(write_end, (index + 1 if claimed else len(cells)).to_bytes(8, "little"))
+        if not claimed:
+            return
+        try:
+            record = index, True, fn(cells[index])
+        except Exception as exc:
+            record, failed = (index, False, exc), True
+        yield record
+
+
+def _child(fn, cells: list, token: tuple[int, int], write_end: int) -> None:
+    """A forked child's whole life: claim cells, pickle each record into
+    ``write_end`` and exit, with status 1 if anything raised."""
+    try:
+        with open(write_end, "wb") as out:
+            for index, ok, value in _claim_cells(fn, cells, token):
+                if not ok:
+                    # a traceback does not pickle; its text goes as a note
+                    note = "raised in a forked child:\n" + "".join(traceback.format_exception(value))
+                    value.__notes__ = [*getattr(value, "__notes__", ()), note]
+                out.write(pickle.dumps((index, ok, value)))
+                out.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
 def _map_cells(fn, cells: list, workers: int) -> list:
     """``[fn(cell) for cell in cells]`` computed by the calling process and
-    ``children = min(workers, len(cells)) - 1`` forked children.
+    ``min(workers, len(cells)) - 1`` children forked with ``os.fork``.
 
-    Every cell but ``cells[children]`` is submitted, the first ``children``
-    of them one per child.  The caller computes ``cells[children]``, then
-    each later cell that no child has taken yet, and then collects the
-    children's results.  It keeps that cell back because the executor hands
-    the children up to ``children + 1`` cells at once: submitted, it could
-    go to a busy child while the caller waited.  An exception from any cell
-    propagates once the cells running in children have finished; the cells
-    no child has started are dropped.
+    Every process claims cells one at a time from a shared queue, a pipe
+    holding the index of the next unclaimed cell, until none is left.  Each
+    child pickles its ``(index, ok, result or exception)`` records into a pipe
+    of its own and exits; the caller reads every pipe to its end and waits for
+    every child, which it kills first if it stops early itself (an interrupt,
+    say).  A failed cell stops further claims, and the exception of the lowest
+    failed cell propagates; a cell whose child exited without returning it
+    raises a RuntimeError that names it.
     """
     children = min(workers, len(cells)) - 1
     if children < 1:
         return [fn(cell) for cell in cells]
-    pool = ProcessPoolExecutor(max_workers=children)
+    token = os.pipe()
+    os.write(token[1], (0).to_bytes(8, "little"))
+    pipes = {}  # child pid -> the read end of its record pipe
+    drained = False
     try:
-        futures = {i: pool.submit(fn, cell) for i, cell in enumerate(cells) if i != children}
-        own = {i: fn(cells[i]) for i in range(children, len(cells)) if i == children or futures[i].cancel()}
-        return [own[i] if i in own else futures[i].result() for i in range(len(cells))]
+        for _ in range(children):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # with the caller gone, a write to a full pipe then fails instead of blocking
+                os.close(read_end)
+                _child(fn, cells, token, write_end)
+            os.close(write_end)
+            pipes[pid] = read_end
+        records = list(_claim_cells(fn, cells, token))
+        for read_end in pipes.values():
+            with open(read_end, "rb", closefd=False) as pipe:
+                while pipe.peek(1):
+                    records.append(pickle.load(pipe))
+        drained = True
     finally:
-        pool.shutdown(cancel_futures=True)
+        for fd in (*token, *pipes.values()):
+            os.close(fd)
+        for pid in pipes:
+            if not drained:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    done = {index: (ok, value) for index, ok, value in records}
+    results = []
+    # claims go in index order, so a cell missing below the lowest failed one
+    # was claimed and never returned
+    for index, cell in enumerate(cells):
+        if index not in done:
+            raise RuntimeError(f"cell {index} ({cell!r}) was lost: the child process that claimed it exited without returning it")
+        ok, value = done[index]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def run(config: ExperimentConfig) -> int:

@@ -100,21 +100,25 @@ def _mixer_basis(n: int) -> np.ndarray:
     H_0 is u u^T with u = W[0] = sqrt(P).  W_jk = 2^(-n/2) sqrt(C(n,j)/C(n,k)) K_k(j)
     with the Krawtchouk values K_k(j) (MacWilliams & Sloane, The Theory of
     Error-Correcting Codes, 1977, ch. 5), from K_k(0) = C(n,k) and
-    K_k(j+1) = K_k(j) - K_(k-1)(j) - K_(k-1)(j+1) in exact integers.  As
+    K_k(j+1) = K_k(j) - K_(k-1)(j) - K_(k-1)(j+1) in exact integers, for
+    j <= n/2; the rows past n/2 are reflections, K_k(n-j) = (-1)^k K_k(j).  As
     C(n,j) K_k(j) = C(n,k) K_j(k), W_jk = sign(K_k(j)) sqrt(K_k(j) K_j(k) / 2^n):
     the integer product and its square root are each rounded once, so W is
     exactly symmetric and its row 0 is ``plus_state``'s amplitudes bit for bit.
     """
     symspace.check_n(n)
     rows = [[comb(n, k) for k in range(n + 1)]]
-    for _ in range(n):
+    for _ in range(n // 2):
         prev, row = rows[-1], []
         for k in range(n + 1):
             row.append(prev[k] - prev[k - 1] - row[k - 1] if k else prev[0])
         rows.append(row)
-    kraw = np.array(rows, dtype=object)
+    low = np.array(rows, dtype=object)
+    kraw = np.vstack((low, low[n - len(low) :: -1] * (1 - 2 * (np.arange(n + 1) % 2))))
     odd = n % 2  # 2^(-n/2) = 2^odd * 2^(-(n + odd)/2), the last factor exact
-    w = np.ldexp(np.sqrt((kraw * kraw.T << odd).astype(float)), -(n + odd) // 2)
+    # K_k(n-j) K_(n-j)(k) = K_k(j) K_j(k): row n - j of |W| is row j
+    mag = np.ldexp(np.sqrt((low * kraw.T[: len(low)] << odd).astype(float)), -(n + odd) // 2)
+    w = np.vstack((mag, mag[n - len(low) :: -1]))
     w[kraw < 0] *= -1.0
     w.flags.writeable = False
     return w

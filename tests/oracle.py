@@ -3,10 +3,11 @@
 A brute-force simulator in the full 2^n-dimensional space, for
 cross-checking the symmetric-subspace evolution at small n, a Trotter step
 built in the Dicke basis from a numerical eigensystem of H_x, a unitary's
-power through its eigenphases, and the Dicke basis vectors.
+power through its eigenphases, the Dicke basis vectors, and H_x's
+eigenbasis from the full Krawtchouk recurrence.
 """
 
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -111,3 +112,21 @@ def eigenphase_power(u: SymOperator, m: int) -> np.ndarray:
     _, v = np.linalg.eigh(0.5j * (e - e.conj().T))
     lam_minus_1 = np.einsum("ij,ik,kj->j", v.conj(), e, v)  # v_k^dag E v_k = lambda_k - 1
     return (v * np.expm1(m * np.log1p(lam_minus_1))) @ v.conj().T
+
+
+def krawtchouk_mixer_basis(n: int) -> np.ndarray:
+    """H_x's eigenbasis W as ``trotter._mixer_basis`` defines it, with every
+    Krawtchouk row K_k(j), j = 0..n, taken through the recurrence
+    K_k(j+1) = K_k(j) - K_(k-1)(j) - K_(k-1)(j+1) from K_k(0) = C(n,k)."""
+    check_n(n)
+    rows = [[comb(n, k) for k in range(n + 1)]]
+    for _ in range(n):
+        prev, row = rows[-1], []
+        for k in range(n + 1):
+            row.append(prev[k] - prev[k - 1] - row[k - 1] if k else prev[0])
+        rows.append(row)
+    kraw = np.array(rows, dtype=object)
+    odd = n % 2
+    w = np.ldexp(np.sqrt((kraw * kraw.T << odd).astype(float)), -(n + odd) // 2)
+    w[kraw < 0] *= -1.0
+    return w

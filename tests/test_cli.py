@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -349,8 +350,20 @@ def test_workers_zero_counts_the_usable_cpus(monkeypatch):
     assert config.workers == 3
 
 
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_workers_resolve_to_one_process_off_linux(platform, monkeypatch):
+    # children are forked on Linux only: Windows has no os.fork, and macOS's
+    # system libraries are not fork-safe
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(sys, "platform", platform)
+    for asked in (0, 1, 3):
+        config = cli.ExperimentConfig(experiment="depth-search", ns=[8], epsilons=[0.1], workers=asked)
+        assert cli.validate(config) == []
+        assert config.workers == 1
+
+
 def test_workers_above_the_usable_cpus_are_capped(monkeypatch):
-    # the pool would fork every child at its first submit; validate starts none
+    # validate only resolves the count and forks nothing; _map_cells forks the children
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for asked, resolved in ((5000, 2), (3, 2), (2, 2), (1, 1), (0, 2)):
         config = cli.ExperimentConfig(experiment="depth-search", ns=[8], epsilons=[0.1], workers=asked)
@@ -372,8 +385,8 @@ def test_map_cells_keeps_order_with_one_child_fewer_than_workers(workers, count)
     cells = list(range(count))
     results = cli._map_cells(_cell_and_pid, cells, workers)
     assert [cell for cell, _ in results] == cells
-    # the calling process is one of the workers; which cells it ran besides
-    # its own depends on when the executor hands cells to its children
+    # the calling process is one of the workers; which cells it ran depends
+    # on when each process claims its next cell from the queue
     pids = {pid for _, pid in results}
     assert count == 0 or os.getpid() in pids
     assert len(pids - {os.getpid()}) <= max(0, min(workers, count) - 1)
@@ -386,6 +399,105 @@ def test_map_cells_raises_a_cell_error(workers):
         cells = [-1 if i == bad else i for i in range(7)]
         with pytest.raises(ValueError, match="cell -1"):
             cli._map_cells(_cell_and_pid, cells, workers)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_map_cells_names_a_cell_whose_child_exits_without_replying(workers):
+    # the caller's own cells are slow, so the children claim cells and the
+    # first of them to do so exits at once; the map must neither hang nor
+    # leave a child unreaped
+    caller, ran_here = os.getpid(), []
+
+    def task(cell):
+        if os.getpid() != caller:
+            os._exit(1)
+        ran_here.append(cell)
+        time.sleep(0.3)
+        return cell
+
+    cells = [f"cell-{i}" for i in range(workers)]
+    with pytest.raises(RuntimeError) as err:
+        cli._map_cells(task, cells, workers)
+    index, cell = re.match(r"cell (\d+) \('(cell-\d+)'\) was lost", str(err.value)).groups()
+    assert cells[int(index)] == cell and cell not in ran_here
+    # claims go in index order, so the lost cell is the lowest the caller did not run
+    assert cell == min(set(cells) - set(ran_here), key=cells.index)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_cells_claims_each_cell_once(tmp_path):
+    # four processes race for 400 short cells; a claim that two processes
+    # both won would start a cell twice
+    log = tmp_path / "started"
+
+    def task(cell):
+        with open(log, "a") as fh:
+            fh.write(f"{cell}\n")
+        time.sleep(0.001)
+        return cell, os.getpid()
+
+    results = cli._map_cells(task, list(range(400)), 4)
+    assert [cell for cell, _ in results] == list(range(400))
+    assert sorted(map(int, log.read_text().split())) == list(range(400))
+    assert len({pid for _, pid in results}) > 1
+
+
+def test_map_cells_claims_no_cell_after_a_failure(tmp_path):
+    # the child fails the first cell it claims while the caller sleeps on its
+    # own; the failure ends the claims, so no third cell is started
+    caller, log = os.getpid(), tmp_path / "started"
+
+    def task(cell):
+        with open(log, "a") as fh:
+            fh.write(f"{cell}\n")
+        if os.getpid() != caller:
+            raise ValueError(f"cell {cell}")
+        time.sleep(0.3)
+        return cell
+
+    with pytest.raises(ValueError, match="cell [01]$"):
+        cli._map_cells(task, list(range(6)), 2)
+    assert sorted(log.read_text().split()) == ["0", "1"]
+
+
+class _Stop(BaseException):
+    """Stands for an interrupt: not an Exception, so no cell record catches it."""
+
+
+def test_map_cells_kills_its_children_when_the_caller_stops():
+    caller = os.getpid()
+
+    def task(cell):
+        if os.getpid() == caller:
+            time.sleep(0.2)
+            raise _Stop
+        time.sleep(30)
+
+    started = time.monotonic()
+    with pytest.raises(_Stop):
+        cli._map_cells(task, list(range(4)), 3)
+    assert time.monotonic() - started < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_imports_no_process_pool(tmp_path):
+    # a fresh interpreter runs a sweep through one forked child without
+    # importing multiprocessing or concurrent.futures
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = f"""
+import os, sys
+os.sched_getaffinity = lambda pid: {{0, 1}}
+import trotterwalk.cli
+args = ["ratio-sweep", "--n-range", "8..10:2", "--epsilon", "0.1", "--workers", "2", "--out", {str(tmp_path / "sweep.csv")!r}]
+assert trotterwalk.cli.main(args) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(read_csv(tmp_path / "sweep.csv")[1]) == 2
 
 
 @pytest.mark.parametrize(

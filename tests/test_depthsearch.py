@@ -1,12 +1,12 @@
-import multiprocessing
+import os
 import pickle
 import re
-from concurrent.futures import ProcessPoolExecutor
+import time
 
 import numpy as np
 import pytest
 
-from trotterwalk import bounds, ctqw, depthsearch, symspace, trotter
+from trotterwalk import bounds, cli, ctqw, depthsearch, symspace, trotter
 
 
 def test_reference_overlap_delegates():
@@ -149,17 +149,28 @@ def test_numeric_depth_failure_diagnostics(monkeypatch):
 
 
 def test_depth_search_error_crosses_processes(monkeypatch):
-    # a pool worker pickles the error it raises; the forked child inherits the budget
+    # a child of cli._map_cells pickles the error its cell raises, and the
+    # caller raises it again; the forked child inherits the budget
     monkeypatch.setattr(depthsearch, "D_CAP", 0)
     with pytest.raises(depthsearch.DepthSearchError) as err:
         depthsearch.numeric_optimal_depth(10, 2, 0.001)
     copy = pickle.loads(pickle.dumps(err.value))
     assert type(copy) is depthsearch.DepthSearchError and str(copy) == str(err.value)
-    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork")) as pool:
-        future = pool.submit(depthsearch.numeric_optimal_depth, 10, 2, 0.001)
-        with pytest.raises(depthsearch.DepthSearchError) as remote:
-            future.result()
-    assert str(remote.value) == str(err.value)
+    caller = os.getpid()
+
+    def search(args):
+        # the caller's own cell is slow and searches nothing, so the child
+        # claims the other cell and its search fails there
+        if os.getpid() == caller:
+            time.sleep(0.3)
+            return None
+        return depthsearch.numeric_optimal_depth(*args)
+
+    with pytest.raises(depthsearch.DepthSearchError) as remote:
+        cli._map_cells(search, [(10, 2, 0.001)] * 2, 2)
+    assert type(remote.value) is depthsearch.DepthSearchError and str(remote.value) == str(err.value)
+    # the child's traceback comes along as a note
+    assert "in numeric_optimal_depth" in remote.value.__notes__[-1]
 
 
 @pytest.mark.parametrize("d_cap", [0, 2, 6])

@@ -4,7 +4,8 @@ Each command is run through ``cli.main``, with one worker where the
 experiment takes ``--workers``, and its CSV is compared with the copy under
 ``tests/golden/``.  The ratio-sweep command also runs through the process
 pool with two and three workers (one and two forked children), and the
-depth-search command with two, against the same golden CSVs.  The header
+depth-search command with two, against the same golden CSVs; through two
+and three workers, both write the one-worker CSV byte for byte.  The header
 and every integer or boolean column must be byte-identical and the ``#``
 line must match once the library version is removed.  A column is a float
 column when any golden cell in it has a '.', an exponent, 'inf' or 'nan';
@@ -81,6 +82,17 @@ def test_through_the_pool_matches_golden(experiment, workers, tmp_path, monkeypa
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
     args = [*COMMANDS[experiment], "--workers", str(workers)]
     assert_matches_golden(experiment, generate(experiment, tmp_path / f"{experiment}.csv", args))
+
+
+@pytest.mark.parametrize("experiment", ["ratio-sweep", "depth-search"])
+def test_through_the_pool_writes_the_same_bytes(experiment, tmp_path, monkeypatch):
+    # the golden check above allows REL_TOL; the CSV a pool of two or three
+    # processes writes must equal the one-process CSV byte for byte
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    generate(experiment, tmp_path / "w1.csv")
+    for workers in (2, 3):
+        generate(experiment, tmp_path / f"w{workers}.csv", [*COMMANDS[experiment], "--workers", str(workers)])
+        assert (tmp_path / f"w{workers}.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes(), workers
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import dicke_step_delta, full_space_oracle
+from oracle import dicke_step_delta, full_space_oracle, krawtchouk_mixer_basis
 from trotterwalk import bounds, ctqw, symspace, trotter
 from trotterwalk.symspace import COST, MIXER
 
@@ -132,6 +132,14 @@ def test_mixer_basis_is_exact(n):
     assert np.max(np.abs(symspace.build_hx(n).real @ w - w * lam)) <= 1e-14
     # |+> is exactly e_0, so a state powered from e_0 starts as |+> bit for bit
     assert w[0].tobytes() == symspace.plus_state(n).amp.real.tobytes()
+
+
+def test_mixer_basis_matches_the_full_recurrence():
+    # the rows past n/2 are reflections of the rows below; W is bit for bit
+    # the matrix that the recurrence through every row makes
+    for n in range(1, 81):
+        w, reference = trotter._mixer_basis(n), krawtchouk_mixer_basis(n)
+        assert w.shape == reference.shape and w.tobytes() == reference.tobytes(), n
 
 
 def test_mixer_basis_is_read_only():
