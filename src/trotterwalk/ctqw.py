@@ -51,9 +51,13 @@ def t_star(n: int) -> float:
 
 # one Hamiltonian serves many times t, so its eigensystem is cached; the
 # arrays handed out are read-only, so no caller can alter what later calls receive
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def walk_eigensystem(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of alpha*H_x + H_0, cached and read-only."""
+    """Eigenvalues (ascending) and eigenvectors of alpha*H_x + H_0, cached and read-only.
+
+    Only the last Hamiltonian is kept: every caller reads one size at a time,
+    so a process holds one eigensystem, not one per size it has visited.
+    """
     w, v = np.linalg.eigh(alpha * symspace.build_hx(n) + symspace.build_h0(n))
     w.flags.writeable = v.flags.writeable = False
     return w, v

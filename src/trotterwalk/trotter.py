@@ -91,9 +91,9 @@ def group_sequence(q: int, r: int, t: float) -> tuple[Factor, ...]:
     return tuple(_angles_to_factors(qaoa_angles(q, t, r)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _mixer_basis(n: int) -> np.ndarray:
-    """H_x's eigenbasis W, W_jk = <e_j|H^(x n)|e_k>, real; cached and read-only.
+    """H_x's eigenbasis W, W_jk = <e_j|H^(x n)|e_k>, real; the last size's is cached, read-only.
 
     Column k is H_x's eigenvector for the eigenvalue n - 2k.  W is symmetric
     and its own inverse, so a Dicke-basis X reads W X W here: |+> is e_0 and
@@ -105,6 +105,8 @@ def _mixer_basis(n: int) -> np.ndarray:
     C(n,j) K_k(j) = C(n,k) K_j(k), W_jk = sign(K_k(j)) sqrt(K_k(j) K_j(k) / 2^n):
     the integer product and its square root are each rounded once, so W is
     exactly symmetric and its row 0 is ``plus_state``'s amplitudes bit for bit.
+    Every caller works through one size at a time, so one W is kept, as one
+    step is by ``_mixer_basis_step``.
     """
     symspace.check_n(n)
     rows = [[comb(n, k) for k in range(n + 1)]]
@@ -222,14 +224,23 @@ def trotterized_state(n: int, q: int, t: float, r: int) -> SymVector:
     return SymVector(n, _mixer_basis(n) @ psi)
 
 
+# slices of n + 1 trace samples powered together in one pass: a pass holds a
+# block of 16 (n + 1)^2 amplitudes, 1.7 MB at n = 80, however many samples
+_TRACE_SLICES = 16
+
+
 def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str = "linear") -> list[tuple[int, float]]:
     """Target overlap after prefixes of the r-step sequence.
 
     Returns (steps_applied, overlap) pairs at `samples` prefix lengths from
-    0 to r, spaced linearly or geometrically.  All prefixes share one pass
-    of squarings of the step operator, O(log r) matrix products, and the
-    states below r are the columns of one block, updated n + 1 at a time:
-    O(log r * samples / n) more products rather than O(r).
+    0 to r, spaced linearly or geometrically.  All prefixes share the
+    squarings of the step operator, O(log r) matrix products.  The states
+    below r are powered in passes of ``_TRACE_SLICES`` slices of n + 1
+    columns, each pass one ``symspace.apply_powers`` call with r as its top
+    power: O(log r * samples / n) more products rather than O(r), and a
+    block that does not grow with `samples`.  A sample below r can differ
+    from a lone power's state in its last bits; r's is formed as
+    ``trotterized_state`` forms it, so the last samples agree exactly.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -242,12 +253,14 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
         raise ValueError(f"spacing must be 'linear' or 'geometric', got {spacing!r}")
     points = [int(x) for x in np.rint(points)]
     points[-1] = r  # float spacing loses the endpoint once r > 2^53
-    steps = sorted(set(points))
-    *block, last = symspace.apply_powers(_mixer_basis_step(n, q, t, r), steps, _plus(n))
-    w = _mixer_basis(n)
-    # the target amplitudes of n + 1 states per product, and the last as
-    # ``trotterized_state`` forms it, so the last samples agree exactly
-    amps = [w[0] @ np.column_stack(block[i : i + n + 1]) for i in range(0, len(block), n + 1)]
+    *below, _ = steps = sorted(set(points))
+    step, w = _mixer_basis_step(n, q, t, r), _mixer_basis(n)
+    size = _TRACE_SLICES * (n + 1)
+    amps = []
+    for start in range(0, len(below), size):
+        *block, last = symspace.apply_powers(step, below[start : start + size] + [r], _plus(n))
+        # the target amplitudes of n + 1 states per product
+        amps += [w[0] @ np.column_stack(block[i : i + n + 1]) for i in range(0, len(block), n + 1)]
     amps.append([(w @ last)[0]])
     return [(m, float(abs(a) ** 2)) for m, a in zip(steps, np.concatenate(amps))]
 

@@ -217,6 +217,20 @@ def test_spectral_error_limits():
     assert bounds.spectral_error(n, q, ts, 1) <= 2.0 + 1e-12
 
 
+def test_spectral_error_keeps_one_size_cached():
+    # the walk's eigensystem and H_x's eigenbasis W are kept for the last
+    # size alone, and a size computed again gives the same bytes
+    seen = {}
+    for n in (10, 12, 14, 10):
+        ts = ctqw.t_star(n)
+        err = bounds.spectral_error(n, 2, ts, 2**10)
+        assert ctqw.walk_eigensystem.cache_info().currsize == 1
+        assert trotter._mixer_basis.cache_info().currsize == 1
+        w, v = ctqw.walk_eigensystem(n, ctqw.alpha_star(n))
+        found = (err, w.tobytes(), v.tobytes(), trotter._mixer_basis(n).tobytes())
+        assert seen.setdefault(n, found) == found, n
+
+
 def test_max_norm_lemmas():
     rng = np.random.default_rng(123)
     for n in (4, 8):

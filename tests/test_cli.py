@@ -647,6 +647,27 @@ def test_failed_cells_through_the_pool(experiment, orders, tmp_path, monkeypatch
     assert all("scanned 1 multipliers at level 0" in e["message"] for e in errors)
 
 
+def test_package_import_loads_no_numpy():
+    # the command-line entry sets BLAS's thread count before numpy loads
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = "import sys, trotterwalk; print('numpy' in sys.modules, trotterwalk.trotter.__name__, 'numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "trotterwalk.trotter", "True"]
+
+
+def test_console_entry_pins_blas_to_one_thread_unless_set(tmp_path, monkeypatch):
+    from trotterwalk import __main__ as entry
+
+    for name in entry.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    out = tmp_path / "entry.csv"
+    assert entry.main(["analytic-depth", "--n", "12", "--epsilon", "0.1", "--out", str(out)]) == 0
+    assert out.exists()
+    assert [os.environ[name] for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")] == ["1", "3", "1"]
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "entry.csv"
     # the child imports the same package as this test, installed or not

@@ -246,17 +246,40 @@ def test_overlap_trace_endpoints():
             assert trace[-1] == (r, abs(trotter.trotterized_state(n, q, t, r).amp[0]) ** 2)
 
 
-@pytest.mark.parametrize("n, q, eps, spacing", [(20, 2, 0.01, "linear"), (20, 2, 0.01, "geometric"), (80, 4, 0.001, "linear")])
-def test_overlap_trace_matches_lone_powers(n, q, eps, spacing):
-    # the trace carries its samples as columns of one block, which may differ
-    # from a lone power's matrix-vector products in the last bits
+@pytest.mark.parametrize(
+    "n, q, eps, spacing, samples",
+    [
+        (20, 2, 0.01, "linear", 41),
+        (20, 2, 0.01, "geometric", 41),
+        (80, 4, 0.001, "linear", 41),
+        (20, 2, 0.01, "linear", 20_000),
+    ],
+    ids=["20-2-0.01-linear", "20-2-0.01-geometric", "80-4-0.001-linear", "20-2-0.01-linear-20000"],
+)
+def test_overlap_trace_matches_lone_powers(n, q, eps, spacing, samples, monkeypatch):
+    # the trace carries its samples as columns of a block, which may differ
+    # from a lone power's matrix-vector products in the last bits; 20,000
+    # samples at n = 20 are 60 passes of 16 slices of n + 1
     t, r = ctqw.t_star(n), bounds.required_steps(n, q, eps)
     step, w = trotter._mixer_basis_step(n, q, t, r), trotter._mixer_basis(n)
     e0 = np.eye(1, n + 1, dtype=complex)[0]
-    trace = trotter.overlap_trace(n, q, t, r, samples=41, spacing=spacing)
-    for m, overlap in trace:
+    tracemalloc.start()
+    try:
+        trace = trotter.overlap_trace(n, q, t, r, samples=samples, spacing=spacing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for m, overlap in trace[:: len(trace) // 40] + trace[-1:]:
         lone = abs((w @ symspace.apply_powers(step, [m], e0)[0])[0]) ** 2
         assert abs(overlap - lone) <= 1e-13, m
+    # a pass's block holds 16 (n + 1) samples whatever their count: one
+    # block of all 20,000 peaked at 12.6 MB, the passes at 3.7 MB
+    assert peak <= 6e6
+    monkeypatch.setattr(trotter, "_TRACE_SLICES", samples)
+    one_pass = trotter.overlap_trace(n, q, t, r, samples=samples, spacing=spacing)
+    assert [m for m, _ in one_pass] == [m for m, _ in trace]
+    assert one_pass[0] == trace[0] and one_pass[-1] == trace[-1]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(one_pass, trace)) <= 1e-13
 
 
 def test_overlap_trace_geometric_spacing():
