@@ -207,21 +207,22 @@ def spectral_error(n: int, q: int, t: float, r: int) -> float:
     """Measured ||U(t) - S_q^r(t/r)||_2 (largest singular value) at alpha*(n).
 
     Global-phase sensitive by construction, matching the bound's norm.  The
-    difference is formed as (U - I) - (S^r - I).  U - I =
-    V diag(expm1(-i w t)) V^dag keeps its relative precision however small
-    w t is; S^r is ``symspace.apply_powers`` of the cached step applied to
-    I, re-unitarized every fourth squaring like every power.  Both are
-    accurate only to a few t * machine epsilon (the phases w*t and the
-    r-fold product round at that level), so the measurement has a floor
-    that grows like 2^(n/2).  At the bound's
-    depth with q = 4 it measured 1.45e-3, 1.34e-3 and 1.69e-3 at
-    epsilon = 0.1, 0.01 and 0.001 for n = 80, where t* = 1.7e12, and 2e-4 to
-    5e-4 at n = 76.
+    difference is formed as (U - I) - (S^r - I) in H_x's eigenbasis W, which
+    is orthogonal, so the norm is the Dicke basis's.  U - I =
+    Z diag(expm1(-i lambda t)) Z^T from ``ctqw.walk_eigensystem`` keeps its
+    relative precision however small lambda t is; S^r is
+    ``symspace.apply_powers`` of the cached step applied to I, re-unitarized
+    every fourth squaring like every power.  The r-fold product, and the
+    phases lambda t of all but the top pair, which shares its pole, are
+    accurate only to a few t * machine epsilon, so the measurement has a
+    floor that grows like 2^(n/2).  At the bound's depth with q = 4 it
+    measured 1.20e-3, 0.97e-3 and 1.44e-3 at epsilon = 0.1, 0.01 and 0.001
+    for n = 80, where t* = 1.7e12 (1.45e-3, 1.34e-3 and 1.69e-3 with a
+    dense eigh of the walk), and 2e-4 to 5e-4 at n = 76.
     """
-    w, v = ctqw.walk_eigensystem(n, ctqw.alpha_star(n))
-    u_delta = (v * np.expm1(-1j * w * t)) @ v.conj().T
-    # S^r - I is powered in H_x's eigenbasis W and taken to the Dicke basis as W (S^r - I) W
+    a = ctqw.alpha_star(n)
+    z = ctqw.walk_eigensystem(n, a).vectors
+    u_delta = (z * ctqw._phases(n, a, np.array([float(t)]))[0]) @ z.T
     eye = np.eye(n + 1, dtype=complex)
     s_delta = symspace.apply_powers(trotter._mixer_basis_step(n, q, t, r), [r], eye)[0] - eye
-    basis = trotter._mixer_basis(n)
-    return float(np.linalg.svd(u_delta - basis @ s_delta @ basis, compute_uv=False)[0])
+    return float(np.linalg.svd(u_delta - s_delta, compute_uv=False)[0])

@@ -221,18 +221,11 @@ def run_overlap_trace(config: ExperimentConfig):
     ts = ctqw.t_star(n)
     alpha = ctqw.alpha_star(n)
     trace = trotter.overlap_trace(n, q, ts, r, config.samples, config.spacing)
+    reference = ctqw.ctqw_overlaps(n, alpha, [ts * m / r for m, _ in trace])
     rows = []
-    for m, ov in trace:
+    for (m, ov), ref in zip(trace, reference):
         layers = m * stages
-        rows.append(
-            (
-                m,
-                layers,
-                ov,
-                float(depthsearch.grover_closed_form(n, layers)),
-                ctqw.ctqw_overlap(n, alpha, ts * m / r),
-            )
-        )
+        rows.append((m, layers, ov, float(depthsearch.grover_closed_form(n, layers)), float(ref)))
     header = ["steps_applied", "layer_count", "overlap_qaoa", "overlap_grover", "overlap_ctqw_reference"]
     meta = {"q": q, "r": r, "depth": r * stages, "reference_overlap": depthsearch.reference_overlap(n), "epsilon_role": "spectral"}
     return header, rows, meta, []

@@ -1,17 +1,18 @@
 """Reference code the tests check the library against.
 
 A brute-force simulator in the full 2^n-dimensional space, for
-cross-checking the symmetric-subspace evolution at small n, a Trotter step
-built in the Dicke basis from a numerical eigensystem of H_x, a unitary's
-power through its eigenphases, the Dicke basis vectors, and H_x's
-eigenbasis from the full Krawtchouk recurrence.
+cross-checking the symmetric-subspace evolution at small n, the walk solved
+by a dense ``eigh`` of its Dicke-basis Hamiltonian, a Trotter step built in
+the Dicke basis from a numerical eigensystem of H_x, a unitary's power
+through its eigenphases, the Dicke basis vectors, and H_x's eigenbasis from
+the full Krawtchouk recurrence.
 """
 
 from math import comb, sqrt
 
 import numpy as np
 
-from trotterwalk.symspace import COST, MIXER, SymOperator, SymVector, build_hx, check_n, p_weights
+from trotterwalk.symspace import COST, MIXER, SymOperator, SymVector, build_h0, build_hx, check_n, p_weights, plus_state
 from trotterwalk.trotter import u_coefficient
 
 MAX_FULL_SPACE_QUBITS = 12
@@ -70,6 +71,23 @@ def full_space_oracle(n: int, factors, alpha: float) -> SymVector:
     np.add.at(sums, weights, psi)
     amp = sums / np.sqrt(p_weights(n) * dim)  # P_k 2^n = C(n, k) exactly
     return SymVector(n, amp)
+
+
+def walk_eigh(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and Dicke-basis eigenvectors of alpha*H_x + H_0 from a dense ``eigh``.
+
+    Backward stable, so each eigenvalue is good to a few eps * ||H||; the
+    top pair's splitting, about 2/sqrt(2^n), only to about 2^(n/2) eps
+    relative.
+    """
+    return np.linalg.eigh(alpha * build_hx(n) + build_h0(n))
+
+
+def walk_overlap_eigh(n: int, alpha: float, t: float) -> float:
+    """|<e_0| exp(-i(alpha*H_x + H_0)t) |+>|^2 from ``walk_eigh``, in the delta form x + V diag(expm1(-i w t)) V^dag x."""
+    w, v = walk_eigh(n, alpha)
+    x = plus_state(n).amp
+    return float(abs((x + v @ (np.expm1(-1j * w * t) * (v.conj().T @ x)))[0]) ** 2)
 
 
 def dicke_step_delta(n: int, q: int, tau: float, alpha: float) -> np.ndarray:

@@ -226,8 +226,8 @@ def test_spectral_error_keeps_one_size_cached():
         err = bounds.spectral_error(n, 2, ts, 2**10)
         assert ctqw.walk_eigensystem.cache_info().currsize == 1
         assert trotter._mixer_basis.cache_info().currsize == 1
-        w, v = ctqw.walk_eigensystem(n, ctqw.alpha_star(n))
-        found = (err, w.tobytes(), v.tobytes(), trotter._mixer_basis(n).tobytes())
+        eig = ctqw.walk_eigensystem(n, ctqw.alpha_star(n))
+        found = (err, *(a.tobytes() for a in eig), trotter._mixer_basis(n).tobytes())
         assert seen.setdefault(n, found) == found, n
 
 

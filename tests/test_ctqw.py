@@ -5,7 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trotterwalk import ctqw, symspace
+from oracle import walk_eigh
+from trotterwalk import ctqw, symspace, trotter
+
+EPS = np.finfo(float).eps
 
 
 def test_alpha_star_values():
@@ -118,14 +121,58 @@ def test_ctqw_state_norm_random():
 # H_x needs no eigensystem: its basis is test_trotter.py's test_mixer_basis_is_read_only
 @pytest.mark.parametrize("eigensystem", [lambda: ctqw.walk_eigensystem(4, ctqw.alpha_star(4))], ids=["walk"])
 def test_eigensystems_are_read_only(eigensystem):
-    w, v = eigensystem()
-    expected = w.copy()
+    level, offset, vectors = eigensystem()
+    expected = offset.copy()
+    for a in (level, offset):
+        with pytest.raises(ValueError):
+            a[0] = 99
     with pytest.raises(ValueError):
-        w[0] = 99.0
-    with pytest.raises(ValueError):
-        v[0, 0] = 99.0
-    again, _ = eigensystem()
-    assert np.array_equal(again, expected)
+        vectors[0, 0] = 99.0
+    assert np.array_equal(eigensystem().offset, expected)
+
+
+@pytest.mark.parametrize("coupling", ["0", "1e-9", "alpha_star", "2"])
+def test_walk_eigensystem_matches_eigh(coupling):
+    # against the dense eigh of the same Hamiltonian: eigenvalues within
+    # eigh's own error of a few eps * ||H|| (measured: at most 5.7), and, in
+    # H_x's eigenbasis, Z^T Z = I and Z diag(lambda) Z^T = H to a few ulp
+    # (measured: at most 7 and 9.7); alpha = 0 puts every pole on one point
+    for n in range(1, 81):
+        alpha = ctqw.alpha_star(n) if coupling == "alpha_star" else float(coupling)
+        eig = ctqw.walk_eigensystem(n, alpha)
+        lam = alpha * eig.level + eig.offset
+        assert np.all(np.diff(lam) <= 0), n
+        expected, _ = walk_eigh(n, alpha)
+        norm = np.max(np.abs(expected))
+        assert np.max(np.abs(lam[::-1] - expected)) <= 8 * EPS * norm, n
+        z = eig.vectors
+        assert np.max(np.abs(z.T @ z - np.eye(n + 1))) <= 10 * EPS, n
+        u = trotter._mixer_basis(n)[0]
+        h = alpha * np.diag(n - 2.0 * np.arange(n + 1)) + np.outer(u, u)
+        assert np.max(np.abs((z * lam) @ z.T - h)) <= 16 * EPS * np.max(np.abs(h)), n
+
+
+def test_walk_eigensystem_negative_coupling():
+    # alpha H_x + H_0 at alpha < 0 is the one at |alpha| with the basis reversed
+    n, alpha = 9, -0.3
+    eig = ctqw.walk_eigensystem(n, alpha)
+    lam = alpha * eig.level + eig.offset
+    expected, _ = walk_eigh(n, alpha)
+    assert np.max(np.abs(lam[::-1] - expected)) <= 8 * EPS * np.max(np.abs(expected))
+    u = trotter._mixer_basis(n)[0]
+    h = alpha * np.diag(n - 2.0 * np.arange(n + 1)) + np.outer(u, u)
+    assert np.max(np.abs((eig.vectors * lam) @ eig.vectors.T - h)) <= 16 * EPS * np.max(np.abs(h))
+
+
+def test_ctqw_overlaps_match_one_time_at_a_time():
+    # the trace's reference column is formed in blocks of n + 1 times; each
+    # row is the same bytes as the lone call, so no row depends on the others
+    n = 80
+    alpha, ts = ctqw.alpha_star(n), ctqw.t_star(n)
+    times = ts * np.linspace(0.0, 1.0, 200)
+    block = ctqw.ctqw_overlaps(n, alpha, times)
+    assert block[0] == 2.0**-n
+    assert [float(x) for x in block] == [ctqw.ctqw_overlap(n, alpha, t) for t in times]
 
 
 def test_ctqw_overlap_rejects_negative_time():
