@@ -49,23 +49,24 @@ def ln_delta_bound(n: int, q: int) -> float:
 def delta_exact(n: int, q: int) -> float:
     """Exact commutator sum over all (q+1)-index sequences.
 
-    Generators are H1 = -i*H_0 and H2 = -i*alpha**H_x in the symmetric
-    subspace.  The sequences are walked depth first, in the order of
-    ``itertools.product((0, 1), repeat=q + 1)``, and each nested commutator
-    is formed once from its prefix's: 2^(q+2) - 4 commutators, holding
-    q + 1 matrices at once.  Sequences whose two innermost indices coincide
-    vanish identically but are walked anyway.
+    Generators are H1 = -i*H_0 and H2 = -i*alpha*H_x, in H_x's orthogonal
+    eigenbasis (``trotter._mixer_spectrum``) -i u u^T and -i alpha diag(n - 2k),
+    walked without the -i: a nested commutator's (-i)^(q+1) has modulus 1.
+    The sequences are walked depth first, in ``itertools.product((0, 1),
+    repeat=q + 1)`` order, and each nested commutator is formed once from its
+    prefix's: 2^(q+2) - 4 commutators, holding q + 1 matrices at once, each
+    norm from ``symspace._spectral_norm``.  Sequences whose two innermost
+    indices coincide vanish identically but are walked anyway.
     """
     symspace.check_n(n)
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError(f"order must be an integer >= 1, got {q!r}")
-    h1 = -1j * symspace.build_h0(n)
-    h2 = -1j * ctqw.alpha_star(n) * symspace.build_hx(n)
-    gens = (h1, h2)
+    lam, u = trotter._mixer_spectrum(n)
+    gens = (np.multiply.outer(u, u), ctqw.alpha_star(n) * np.diag(lam))
 
     def walk(nested: np.ndarray, depth: int, total: float) -> float:
         if depth == q:
-            return total + float(np.linalg.norm(nested, 2))
+            return total + symspace._spectral_norm(nested)[0]
         for g in gens:
             total = walk(g @ nested - nested @ g, depth + 1, total)
         return total
@@ -204,25 +205,22 @@ def required_steps(n: int, q: int, epsilon: float) -> int:
 
 
 def spectral_error(n: int, q: int, t: float, r: int) -> float:
-    """Measured ||U(t) - S_q^r(t/r)||_2 (largest singular value) at alpha*(n).
+    """Measured ||U(t) - S_q^r(t/r)||_2 at alpha*(n), the low end of ``symspace._spectral_norm``'s bracket.
 
     Global-phase sensitive by construction, matching the bound's norm.  The
     difference is formed as (U - I) - (S^r - I) in H_x's eigenbasis W, which
     is orthogonal, so the norm is the Dicke basis's.  U - I =
     Z diag(expm1(-i lambda t)) Z^T from ``ctqw.walk_eigensystem`` keeps its
     relative precision however small lambda t is; S^r is
-    ``symspace.apply_powers`` of the cached step applied to I, re-unitarized
-    every fourth squaring like every power.  The r-fold product, and the
-    phases lambda t of all but the top pair, which shares its pole, are
-    accurate only to a few t * machine epsilon, so the measurement has a
-    floor that grows like 2^(n/2).  At the bound's depth with q = 4 it
-    measured 1.20e-3, 0.97e-3 and 1.44e-3 at epsilon = 0.1, 0.01 and 0.001
-    for n = 80, where t* = 1.7e12 (1.45e-3, 1.34e-3 and 1.69e-3 with a
-    dense eigh of the walk), and 2e-4 to 5e-4 at n = 76.
+    ``symspace.apply_powers`` of the cached step applied to I.  The r-fold
+    product, and the phases lambda t of all but the top pair, are accurate
+    only to a few t * machine epsilon, a floor growing like 2^(n/2): at the
+    bound's depth with q = 4, 1.20e-3, 0.97e-3 and 1.44e-3 at epsilon = 0.1,
+    0.01 and 0.001 for n = 80 (t* = 1.7e12), and 2e-4 to 5e-4 at n = 76.
     """
     a = ctqw.alpha_star(n)
     z = ctqw.walk_eigensystem(n, a).vectors
     u_delta = (z * ctqw._phases(n, a, np.array([float(t)]))[0]) @ z.T
     eye = np.eye(n + 1, dtype=complex)
     s_delta = symspace.apply_powers(trotter._mixer_basis_step(n, q, t, r), [r], eye)[0] - eye
-    return float(np.linalg.svd(u_delta - s_delta, compute_uv=False)[0])
+    return symspace._spectral_norm(u_delta - s_delta)[0]

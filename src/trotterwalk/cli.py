@@ -46,9 +46,9 @@ Q_MAX = 16
 # bound-check measures the Trotter error at r = 2^j for each of these j
 BOUND_CHECK_R_EXPONENTS = range(2, 15)
 
-# grover-curve (--k-max) and overlap-trace (--samples) build one row per
-# iteration or sample in memory before writing any; grover-curve's default
-# count, ceil(pi / (4 asin 2^(-n/2))), stays under this cap up to n = 40
+# grover-curve (--k-max) holds one row per iteration and overlap-trace
+# (--samples) one trace point per sample; grover-curve's default count,
+# ceil(pi / (4 asin 2^(-n/2))), stays under this cap up to n = 40
 MAX_ROWS = 10**6
 
 
@@ -108,13 +108,15 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, experiment: str, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path: str, experiment: str, header: list[str], rows) -> int:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    count = 0
     with open(path, "w", newline="") as fh:
         fh.write(f"# trotterwalk={__version__} experiment={experiment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for count, row in enumerate(rows, 1):
             fh.write(",".join(format_value(v) for v in row) + "\n")
+    return count
 
 
 def sidecar_path(out: str) -> str:
@@ -219,13 +221,10 @@ def run_overlap_trace(config: ExperimentConfig):
     r = bounds.required_steps(n, q, eps)
     stages = trotter.stage_count(q)
     ts = ctqw.t_star(n)
-    alpha = ctqw.alpha_star(n)
     trace = trotter.overlap_trace(n, q, ts, r, config.samples, config.spacing)
-    reference = ctqw.ctqw_overlaps(n, alpha, [ts * m / r for m, _ in trace])
-    rows = []
-    for (m, ov), ref in zip(trace, reference):
-        layers = m * stages
-        rows.append((m, layers, ov, float(depthsearch.grover_closed_form(n, layers)), float(ref)))
+    reference = ctqw.ctqw_overlaps(n, ctqw.alpha_star(n), [ts * m / r for m, _ in trace])
+    # formed as they are written: a list would hold five fields per sample
+    rows = ((m, m * stages, ov, float(depthsearch.grover_closed_form(n, m * stages)), float(ref)) for (m, ov), ref in zip(trace, reference))
     header = ["steps_applied", "layer_count", "overlap_qaoa", "overlap_grover", "overlap_ctqw_reference"]
     meta = {"q": q, "r": r, "depth": r * stages, "reference_overlap": depthsearch.reference_overlap(n), "epsilon_role": "spectral"}
     return header, rows, meta, []
@@ -476,7 +475,7 @@ def run(config: ExperimentConfig) -> int:
     spec = EXPERIMENTS[config.experiment]
     header, rows, meta, errors = spec.runner(config)
     duration = time.perf_counter() - t0
-    write_csv(config.out, config.experiment, header, rows)
+    count = write_csv(config.out, config.experiment, header, rows)
     write_sidecar(
         config.out,
         {
@@ -488,13 +487,13 @@ def run(config: ExperimentConfig) -> int:
             "library_version": __version__,
             "started_at": started,
             "duration_seconds": duration,
-            "rows_written": len(rows),
+            "rows_written": count,
         },
     )
     if errors:
-        print(f"{config.experiment}: {len(rows)} rows, {len(errors)} failed cells -> {config.out}", file=sys.stderr)
+        print(f"{config.experiment}: {count} rows, {len(errors)} failed cells -> {config.out}", file=sys.stderr)
         return EXIT_PARTIAL
-    print(f"{config.experiment}: {len(rows)} rows -> {config.out}")
+    print(f"{config.experiment}: {count} rows -> {config.out}")
     return EXIT_OK
 
 

@@ -321,8 +321,8 @@ def angles_operator(n: int, angles: QaoaAngles) -> SymOperator:
 
 
 def phase_aligned_distance(a: SymOperator, b: SymOperator) -> float:
-    """Spectral distance min over global phase of ||a - e^(i phi) b||_2."""
+    """Spectral distance ||a - e^(i phi) b||_2 at the phase of tr(b^dag a), the low end of ``symspace._spectral_norm``'s bracket."""
     x, y = a.entries, b.entries
     tr = np.trace(y.conj().T @ x)
     phase = tr / abs(tr) if abs(tr) > 0 else 1.0
-    return float(np.linalg.svd(x - phase * y, compute_uv=False)[0])
+    return symspace._spectral_norm(x - phase * y)[0]

@@ -1,18 +1,21 @@
 """Reference code the tests check the library against.
 
 A brute-force simulator in the full 2^n-dimensional space, for
-cross-checking the symmetric-subspace evolution at small n, the walk solved
-by a dense ``eigh`` of its Dicke-basis Hamiltonian, a Trotter step built in
-the Dicke basis from a numerical eigensystem of H_x, a unitary's power
-through its eigenphases, the Dicke basis vectors, and H_x's eigenbasis from
-the full Krawtchouk recurrence.
+cross-checking the symmetric-subspace evolution at small n, the dense
+Dicke-basis Hamiltonians H_x and H_0, the walk solved by a dense ``eigh``
+of them, a Trotter step built in the Dicke basis from a numerical
+eigensystem of H_x, a unitary's power through its eigenphases, the Dicke
+basis vectors, H_x's eigenbasis from the full Krawtchouk recurrence, and
+spectral norms from LAPACK's SVD, the commutator sum among them.
 """
 
+import itertools
 from math import comb, sqrt
 
 import numpy as np
 
-from trotterwalk.symspace import COST, MIXER, SymOperator, SymVector, build_h0, build_hx, check_n, p_weights, plus_state
+from trotterwalk import ctqw
+from trotterwalk.symspace import COST, MIXER, SymOperator, SymVector, check_n, p_weights, plus_state
 from trotterwalk.trotter import u_coefficient
 
 MAX_FULL_SPACE_QUBITS = 12
@@ -26,6 +29,51 @@ def basis_state(n: int, k: int) -> SymVector:
     amp = np.zeros(n + 1, dtype=complex)
     amp[k] = 1.0
     return SymVector(n, amp)
+
+
+def build_hx(n: int) -> np.ndarray:
+    """Hypercube adjacency operator restricted to the symmetric subspace.
+
+    Tridiagonal with zero diagonal and off-diagonal elements
+    sqrt((l+1)(n-l)) between weights l and l+1; its spectrum is
+    {n - 2k : k = 0..n}.
+    """
+    check_n(n)
+    l = np.arange(n, dtype=float)
+    off = np.sqrt((l + 1.0) * (n - l))
+    m = np.zeros((n + 1, n + 1), dtype=complex)
+    m[np.arange(n), np.arange(1, n + 1)] = off
+    m[np.arange(1, n + 1), np.arange(n)] = off
+    return m
+
+
+def build_h0(n: int) -> np.ndarray:
+    """Rank-1 projector onto the target Dicke state |e_0> = |0...0>."""
+    check_n(n)
+    m = np.zeros((n + 1, n + 1), dtype=complex)
+    m[0, 0] = 1.0
+    return m
+
+
+def svd_norm(a: np.ndarray) -> float:
+    """||a||_2, the largest singular value from LAPACK's SVD."""
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def dense_delta_exact(n: int, q: int) -> float:
+    """The commutator sum of ``bounds.delta_exact`` with every sequence built from scratch in the Dicke basis.
+
+    Generators -i*H_0 and -i*alpha*H_x from the dense builders, sequences
+    in ``itertools.product`` order, each norm from ``svd_norm``.
+    """
+    gens = (-1j * build_h0(n), -1j * ctqw.alpha_star(n) * build_hx(n))
+    total = 0.0
+    for seq in itertools.product((0, 1), repeat=q + 1):
+        nested = gens[seq[0]]
+        for idx in seq[1:]:
+            nested = gens[idx] @ nested - nested @ gens[idx]
+        total += svd_norm(nested)
+    return total
 
 
 def _hamming_weights(n: int) -> np.ndarray:

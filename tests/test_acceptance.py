@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from oracle import full_space_oracle
 from trotterwalk import bounds, ctqw, depthsearch, symspace, trotter
 
@@ -103,8 +104,8 @@ def test_criterion_06_commutator_sum_ordering_and_lemmas():
     rng = np.random.default_rng(99)
     lemmas_ok = True
     for n in (4, 8, 16):
-        h1 = symspace.build_h0(n)
-        h2 = ctqw.alpha_star(n) * symspace.build_hx(n)
+        h1 = oracle.build_h0(n)
+        h2 = ctqw.alpha_star(n) * oracle.build_hx(n)
         mixer_bound = 2 * ctqw.alpha_star(n) * (n + 1)
         for _ in range(500):
             a = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from trotterwalk import bounds, cli, ctqw, symspace, trotter
+import oracle
+from trotterwalk import bounds, cli, ctqw, depthsearch, trotter
 
 
 def test_delta_bound_value():
@@ -26,8 +27,8 @@ def test_delta_bound_guards_and_monotonicity():
 def test_delta_exact_first_order():
     # q=1: only the two mixed sequences survive, each |[H1, H2]|
     n = 5
-    h1 = -1j * symspace.build_h0(n)
-    h2 = -1j * ctqw.alpha_star(n) * symspace.build_hx(n)
+    h1 = -1j * oracle.build_h0(n)
+    h2 = -1j * ctqw.alpha_star(n) * oracle.build_hx(n)
     comm = np.linalg.norm(h2 @ h1 - h1 @ h2, 2)
     assert bounds.delta_exact(n, 1) == pytest.approx(2 * comm, rel=1e-12)
 
@@ -36,16 +37,15 @@ def test_delta_exact_below_bound():
     for n in (3, 6, 16):
         for q in range(1, 9):
             assert bounds.delta_exact(n, q) <= bounds.delta_bound(n, q)
-    # the prefix-sharing walk against every sequence built from scratch, summed in the same order
-    n, q = 3, 6
-    gens = (-1j * symspace.build_h0(n), -1j * ctqw.alpha_star(n) * symspace.build_hx(n))
-    total = 0.0
-    for seq in itertools.product((0, 1), repeat=q + 1):
-        nested = gens[seq[0]]
-        for idx in seq[1:]:
-            nested = gens[idx] @ nested - nested @ gens[idx]
-        total += float(np.linalg.norm(nested, 2))
-    assert bounds.delta_exact(n, q) == total
+
+
+@pytest.mark.parametrize("n, q", [(1, 1), (3, 6), (5, 3), (6, 4), (16, 8), (44, 4)])
+def test_delta_exact_matches_the_dense_walk(n, q):
+    # the mixer-basis walk with its LAPACK-free norms against every sequence
+    # built from scratch in the Dicke basis with SVD norms, in the same order;
+    # the two bases and the two norms differ in the last bits only.  A guard:
+    # a Dicke-basis walk with SVD norms passes it too
+    assert bounds.delta_exact(n, q) == pytest.approx(oracle.dense_delta_exact(n, q), rel=1e-13, abs=0)
 
 
 def test_trotter_error_bound_specialization():
@@ -234,8 +234,8 @@ def test_spectral_error_keeps_one_size_cached():
 def test_max_norm_lemmas():
     rng = np.random.default_rng(123)
     for n in (4, 8):
-        h1 = symspace.build_h0(n)
-        h2 = ctqw.alpha_star(n) * symspace.build_hx(n)
+        h1 = oracle.build_h0(n)
+        h2 = ctqw.alpha_star(n) * oracle.build_hx(n)
         bound2 = 2 * ctqw.alpha_star(n) * (n + 1)
         for _ in range(100):
             a = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
@@ -243,3 +243,41 @@ def test_max_norm_lemmas():
             assert np.max(np.abs(h1 @ a - a @ h1)) <= amax + 1e-12
             assert np.max(np.abs(h2 @ a - a @ h2)) <= bound2 * amax + 1e-12
             assert np.linalg.norm(a, 2) <= np.linalg.norm(a, "fro") + 1e-12
+
+
+# numpy's entry points into LAPACK
+LAPACK_ENTRY_POINTS = ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "solve", "inv", "lstsq")
+
+
+def test_no_lapack_call_in_the_library(monkeypatch, tmp_path):
+    # each entry point raises, in numpy.linalg and in its implementation
+    # module, which np.linalg.norm(a, 2) and the others call within
+    try:
+        from numpy.linalg import _linalg as impl  # numpy 2
+    except ImportError:
+        from numpy.linalg import linalg as impl  # numpy 1.x
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+
+        return call
+
+    for name in LAPACK_ENTRY_POINTS:
+        for module in (np.linalg, impl):
+            monkeypatch.setattr(module, name, refuse(name))
+    for cache in (ctqw.walk_eigensystem, trotter._mixer_basis, trotter._mixer_basis_step):
+        cache.cache_clear()
+    # a deep-power cell as perfbench runs it
+    n, eps = 56, 0.1
+    q = bounds.optimal_order(n, eps).q_even
+    r = bounds.required_steps(n, q, eps)
+    ts = ctqw.t_star(n)
+    trotter.trotterized_state(n, q, ts, r)
+    assert bounds.spectral_error(n, q, ts, r) <= eps
+    trotter.overlap_trace(n, q, ts, r, 41)
+    depthsearch.reference_overlap(n)
+    assert cli.main(["bound-check", "--n-range", "4..8:2", "--out", str(tmp_path / "bound.csv")]) == 0
+    a, b = trotter.step_operator(6, 4, 1.0, 3), trotter.step_operator(6, 2, 1.0, 3)
+    assert 0 < trotter.phase_aligned_distance(a, b) < 1
+    assert bounds.delta_exact(6, 4) > 0

@@ -219,6 +219,17 @@ def test_overlap_trace_schema(tmp_path):
     meta = read_sidecar(out)
     assert meta["meta"]["epsilon_role"] == "spectral"
     assert meta["library_version"]
+    assert meta["rows_written"] == 5
+
+
+def test_overlap_trace_forms_each_row_as_it_is_written(tmp_path):
+    # a row list would hold five fields per sample until the CSV is written
+    config = cli.ExperimentConfig("overlap-trace", ns=[10], epsilons=[0.01], samples=7)
+    header, rows, _, _ = cli.run_overlap_trace(config)
+    assert iter(rows) is rows
+    out = tmp_path / "trace.csv"
+    assert cli.write_csv(str(out), "overlap-trace", header, rows) == 7
+    assert len(read_csv(out)[1]) == 7
 
 
 def test_ratio_sweep_reproducible(tmp_path):
@@ -444,21 +455,37 @@ def test_map_cells_claims_each_cell_once(tmp_path):
 
 
 def test_map_cells_claims_no_cell_after_a_failure(tmp_path):
-    # the child fails the first cell it claims while the caller sleeps on its
-    # own; the failure ends the claims, so no third cell is started
+    # the caller and one child claim a cell each.  The child raises only once
+    # the caller has logged its cell, and the caller's task returns only once
+    # the child, which closes the queue after its failure, has exited: so no
+    # third cell is started, however the two processes are scheduled
     caller, log = os.getpid(), tmp_path / "started"
+
+    def pids():
+        # a line still being appended has no newline yet and is left out
+        text = log.read_text() if log.exists() else ""
+        return [int(line.split()[1]) for line in text.split("\n")[:-1]]
+
+    def wait_for(found):
+        deadline = time.monotonic() + 30
+        while not found():
+            assert time.monotonic() < deadline, "the other process logged no cell"
+            time.sleep(0.005)
+        return found()
 
     def task(cell):
         with open(log, "a") as fh:
-            fh.write(f"{cell}\n")
+            fh.write(f"{cell} {os.getpid()}\n")
         if os.getpid() != caller:
+            wait_for(lambda: caller in pids())
             raise ValueError(f"cell {cell}")
-        time.sleep(0.3)
+        child = wait_for(lambda: [pid for pid in pids() if pid != caller])[0]
+        os.waitid(os.P_PID, child, os.WEXITED | os.WNOWAIT)
         return cell
 
     with pytest.raises(ValueError, match="cell [01]$"):
         cli._map_cells(task, list(range(6)), 2)
-    assert sorted(log.read_text().split()) == ["0", "1"]
+    assert sorted(line.split()[0] for line in log.read_text().splitlines()) == ["0", "1"]
 
 
 class _Stop(BaseException):

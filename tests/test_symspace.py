@@ -3,53 +3,54 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from oracle import MAX_FULL_SPACE_QUBITS, basis_state, eigenphase_power, full_space_oracle
 from trotterwalk import bounds, ctqw, symspace, trotter
 from trotterwalk.symspace import COST, MIXER
 
 
 def test_build_hx_small_cases():
-    hx1 = symspace.build_hx(1)
+    hx1 = oracle.build_hx(1)
     assert np.allclose(hx1, [[0, 1], [1, 0]])
-    hx4 = symspace.build_hx(4)
+    hx4 = oracle.build_hx(4)
     assert hx4[1, 0] == pytest.approx(2.0)  # sqrt((0+1)(4-0))
-    hx3 = symspace.build_hx(3)
+    hx3 = oracle.build_hx(3)
     assert np.allclose(np.diag(hx3, 1), [math.sqrt(3), 2.0, math.sqrt(3)])
     assert np.allclose(np.diag(hx3), 0.0)
 
 
 def test_build_hx_rejects_zero():
     with pytest.raises(ValueError):
-        symspace.build_hx(0)
+        oracle.build_hx(0)
     with pytest.raises(ValueError):
-        symspace.build_h0(0)
+        oracle.build_h0(0)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_build_hx_spectrum(n):
     # eigenvalues are exactly {n - 2k}
-    w = np.linalg.eigvalsh(symspace.build_hx(n))
+    w = np.linalg.eigvalsh(oracle.build_hx(n))
     expected = np.array(sorted(n - 2 * k for k in range(n + 1)), dtype=float)
     assert np.max(np.abs(w - expected)) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 5, 17, 40, 68])
 def test_build_hx_max_norm(n):
-    assert np.max(np.abs(symspace.build_hx(n))) <= (n + 1) / 2 + 1e-12
+    assert np.max(np.abs(oracle.build_hx(n))) <= (n + 1) / 2 + 1e-12
 
 
 def test_build_h0_projector():
-    h0 = symspace.build_h0(2)
+    h0 = oracle.build_h0(2)
     assert np.allclose(h0, np.diag([1.0, 0.0, 0.0]))
     for n in (1, 7, 33):
-        m = symspace.build_h0(n)
+        m = oracle.build_h0(n)
         assert np.trace(m).real == pytest.approx(1.0)
-    assert symspace.build_h0(3)[1, 1] == 0.0
+    assert oracle.build_h0(3)[1, 1] == 0.0
 
 
 def test_hamiltonians_hermitian():
     for n in (1, 6, 30):
-        for m in (symspace.build_hx(n), symspace.build_h0(n)):
+        for m in (oracle.build_hx(n), oracle.build_h0(n)):
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
 
 
@@ -99,7 +100,7 @@ def _power(u: symspace.SymOperator, m: int) -> symspace.SymOperator:
 
 
 def test_matrix_power_trivial():
-    u = _evolution(symspace.build_hx(2), 0.3)
+    u = _evolution(oracle.build_hx(2), 0.3)
     assert np.allclose(_power(u, 1).entries, u.entries)
     assert np.allclose(_power(u, 0).entries, np.eye(3))
     with pytest.raises(ValueError):
@@ -176,7 +177,7 @@ def test_powering_leaves_its_operator_untouched():
 
 
 def test_matrix_power_unitarity_drift():
-    u = _evolution(symspace.build_hx(8), 0.7)
+    u = _evolution(oracle.build_hx(8), 0.7)
     assert _power(u, 10**6).unitarity_defect() <= 1e-9
 
 
@@ -242,3 +243,39 @@ def test_symvector_validation():
         symspace.SymOperator(2, np.zeros((2, 3)))
     with pytest.raises(ValueError):
         basis_state(3, 5)
+
+
+def _assert_brackets(a, sigma):
+    # low <= sigma <= high, each within the tolerance at which the bracket stops
+    low, high = symspace._spectral_norm(a)
+    tol = symspace._NORM_TOL
+    assert low <= sigma * (1 + tol) and sigma <= high * (1 + tol), (low, sigma, high)
+    assert high <= low * (1 + 1.001 * tol), (low, high)
+    return low, high
+
+
+@pytest.mark.parametrize("size", range(2, 82))
+def test_spectral_norm_brackets_random_matrices(size):
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    _assert_brackets(a, oracle.svd_norm(a))
+
+
+def test_spectral_norm_brackets_equal_and_paired_singular_values():
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81)))
+    # every singular value of a scaled unitary is 3
+    _assert_brackets(3.0 * u, 3.0)
+    x = rng.standard_normal((81, 81))
+    # a real antisymmetric matrix has its singular values in equal pairs
+    s = np.linalg.svd(x - x.T, compute_uv=False)
+    assert s[0] == pytest.approx(s[1], rel=1e-12)
+    _assert_brackets(x - x.T, s[0])
+
+
+def test_spectral_norm_of_zero_and_tiny_matrices():
+    assert symspace._spectral_norm(np.zeros((5, 5), dtype=complex)) == (0.0, 0.0)
+    rng = np.random.default_rng(3)
+    a = 1e-200 * (rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30)))
+    low, _ = _assert_brackets(a, oracle.svd_norm(a))
+    assert low > 1e-200

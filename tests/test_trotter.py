@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracle
 from oracle import dicke_step_delta, full_space_oracle, krawtchouk_mixer_basis
 from trotterwalk import bounds, ctqw, symspace, trotter
 from trotterwalk.symspace import COST, MIXER
@@ -129,7 +130,7 @@ def test_mixer_basis_is_exact(n):
     assert w.dtype == np.float64 and np.array_equal(w, w.T)
     assert np.max(np.abs(w @ w - np.eye(n + 1))) <= 1e-15
     lam = n - 2.0 * np.arange(n + 1)
-    assert np.max(np.abs(symspace.build_hx(n).real @ w - w * lam)) <= 1e-14
+    assert np.max(np.abs(oracle.build_hx(n).real @ w - w * lam)) <= 1e-14
     # |+> is exactly e_0, so a state powered from e_0 starts as |+> bit for bit
     assert w[0].tobytes() == symspace.plus_state(n).amp.real.tobytes()
 
