@@ -50,7 +50,7 @@ def delta_exact(n: int, q: int) -> float:
     """Exact commutator sum over all (q+1)-index sequences.
 
     Generators are H1 = -i*H_0 and H2 = -i*alpha*H_x, in H_x's orthogonal
-    eigenbasis (``trotter._mixer_spectrum``) -i u u^T and -i alpha diag(n - 2k),
+    eigenbasis (``symspace._mixer_spectrum``) -i u u^T and -i alpha diag(n - 2k),
     walked without the -i: a nested commutator's (-i)^(q+1) has modulus 1.
     The sequences are walked depth first, in ``itertools.product((0, 1),
     repeat=q + 1)`` order, and each nested commutator is formed once from its
@@ -61,7 +61,7 @@ def delta_exact(n: int, q: int) -> float:
     symspace.check_n(n)
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError(f"order must be an integer >= 1, got {q!r}")
-    lam, u = trotter._mixer_spectrum(n)
+    lam, u = symspace._mixer_spectrum(n)
     gens = (np.multiply.outer(u, u), ctqw.alpha_star(n) * np.diag(lam))
 
     def walk(nested: np.ndarray, depth: int, total: float) -> float:
@@ -114,9 +114,8 @@ def analytic_depth(n: int, q: int, epsilon: float) -> DepthEstimate:
     The two are the same expression algebraically, so any disagreement past
     1e-9 relative indicates an internal defect and raises.
     """
-    trotter._check_order(q)
-    _check_positive(epsilon=epsilon)
     stages = trotter.stage_count(q)
+    _check_positive(epsilon=epsilon)
     ln_d = ln_delta_bound(n, q)
     ts = ctqw.t_star(n)
     # direct inversion of the error bound: p = stages * r
@@ -183,9 +182,8 @@ def required_steps(n: int, q: int, epsilon: float) -> int:
     it: r doubles from 1 until the bound holds, then the last failing and
     the first meeting r are bisected, about 2 log2(r) evaluations.
     """
-    trotter._check_order(q)
-    _check_positive(epsilon=epsilon)
     stages = trotter.stage_count(q)
+    _check_positive(epsilon=epsilon)
     ln_d = ln_delta_bound(n, q)
     ts = ctqw.t_star(n)
 

@@ -474,8 +474,9 @@ def run(config: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     spec = EXPERIMENTS[config.experiment]
     header, rows, meta, errors = spec.runner(config)
-    duration = time.perf_counter() - t0
+    # some runners form their rows as the CSV is written, so the clock stops after it
     count = write_csv(config.out, config.experiment, header, rows)
+    duration = time.perf_counter() - t0
     write_sidecar(
         config.out,
         {

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import symspace, trotter
+from . import symspace
 from .symspace import SymVector
 
 
@@ -253,7 +253,7 @@ def ctqw_state(n: int, alpha: float, t: float) -> SymVector:
     z = walk_eigensystem(n, alpha).vectors
     psi = z @ (_phases(n, alpha, np.array([float(t)]))[0] * z[0])
     psi[0] += 1.0
-    return SymVector(n, trotter._mixer_basis(n) @ psi)
+    return SymVector(n, symspace._mixer_basis(n) @ psi)
 
 
 def ctqw_overlaps(n: int, alpha: float, times) -> np.ndarray:
@@ -268,7 +268,7 @@ def ctqw_overlaps(n: int, alpha: float, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError(f"evolution times must be >= 0, got {times.min()}")
-    u = symspace.plus_state(n).amp.real  # W's row 0, bit for bit
+    u = symspace._mixer_basis(n)[0]
     z = walk_eigensystem(n, alpha).vectors
     weight = (u[:, None] * z).sum(0) * z[0]
     out = np.empty(len(times))
@@ -306,7 +306,7 @@ def low_eigenstates(n: int) -> EigenPair:
     split = gap(n).gap_exact
     if split < 1e-13:
         raise ValueError(f"extremal pair is degenerate to {split:.3e}; phases undefined")
-    w = trotter._mixer_basis(n)
+    w = symspace._mixer_basis(n)
     # <+|W z> = z_0: each state is turned so its overlap with |+>^n is positive
     states = [SymVector(n, w @ (np.copysign(1.0, eig.vectors[0, j]) * eig.vectors[:, j])) for j in (0, 1)]
     energies = a * eig.level[:2] + eig.offset[:2]

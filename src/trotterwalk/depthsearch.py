@@ -105,10 +105,9 @@ def _depth_search(
     search reads it and adds what it evaluates, so searches at other
     budgets that share it evaluate each step count once.
     """
-    trotter._check_order(q)
+    stages = trotter.stage_count(q)
     if not 0.0 < epsilon_overlap < 1.0:
         raise ValueError(f"overlap budget must lie in (0, 1), got {epsilon_overlap}")
-    stages = trotter.stage_count(q)
     threshold = reference_overlap(n) - epsilon_overlap
     ts = ctqw.t_star(n)
     used: dict[int, float] = {}  # the step counts this search read, and their overlaps

@@ -4,7 +4,10 @@ An n-qubit state that is invariant under qubit permutations lives in the
 (n+1)-dimensional span of the Dicke states |e_k>, the uniform superpositions
 of all bit strings of Hamming weight k.  Everything in this package evolves
 inside that subspace, so states are length-(n+1) complex vectors and
-operators are dense (n+1)x(n+1) matrices.
+operators are dense (n+1)x(n+1) matrices.  SymVector and SymOperator hold
+them in the Dicke basis.  The working basis is H_x's exact eigenbasis W,
+built here (``_mixer_basis``): the walk is solved and Trotter steps are
+built and powered in W, and products with W take results to the Dicke basis.
 """
 
 from __future__ import annotations
@@ -116,10 +119,55 @@ def p_weights(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def plus_state(n: int) -> SymVector:
-    """|+>^(x n) in the Dicke basis, amp_k = sqrt(P_k) correctly rounded; cached, read-only."""
-    amp = np.sqrt(p_weights(n)).astype(complex)
+    """|+>^(x n) in the Dicke basis: W's row 0, amp_k = sqrt(P_k) correctly rounded; cached, read-only."""
+    amp = _mixer_basis(n)[0].astype(complex)
     amp.flags.writeable = False
     return SymVector(n, amp)
+
+
+@lru_cache(maxsize=1)
+def _mixer_basis(n: int) -> np.ndarray:
+    """H_x's eigenbasis W, W_jk = <e_j|H^(x n)|e_k>, real; the last size's is cached, read-only.
+
+    Column k is H_x's eigenvector for the eigenvalue n - 2k.  W is symmetric
+    and its own inverse, so a Dicke-basis X reads W X W here: |+> is e_0 and
+    H_0 is u u^T with u = W[0] = sqrt(P).  W_jk = 2^(-n/2) sqrt(C(n,j)/C(n,k)) K_k(j)
+    with the Krawtchouk values K_k(j) (MacWilliams & Sloane, The Theory of
+    Error-Correcting Codes, 1977, ch. 5), from K_k(0) = C(n,k) and
+    K_k(j+1) = K_k(j) - K_(k-1)(j) - K_(k-1)(j+1) in exact integers, for
+    j <= n/2; the rows past n/2 are reflections, K_k(n-j) = (-1)^k K_k(j).  As
+    C(n,j) K_k(j) = C(n,k) K_j(k), W_jk = sign(K_k(j)) sqrt(K_k(j) K_j(k) / 2^n):
+    the integer product and its square root are each rounded once, so W is
+    exactly symmetric and its row 0 is sqrt(P) correctly rounded.
+    Every caller works through one size at a time, so one W is kept, as one
+    step is by ``trotter._mixer_basis_step``.
+    """
+    check_n(n)
+    rows = [[comb(n, k) for k in range(n + 1)]]
+    for _ in range(n // 2):
+        prev, row = rows[-1], []
+        for k in range(n + 1):
+            row.append(prev[k] - prev[k - 1] - row[k - 1] if k else prev[0])
+        rows.append(row)
+    low = np.array(rows, dtype=object)
+    kraw = np.vstack((low, low[n - len(low) :: -1] * (1 - 2 * (np.arange(n + 1) % 2))))
+    odd = n % 2  # 2^(-n/2) = 2^odd * 2^(-(n + odd)/2), the last factor exact
+    # K_k(n-j) K_(n-j)(k) = K_k(j) K_j(k): row n - j of |W| is row j
+    mag = np.ldexp(np.sqrt((low * kraw.T[: len(low)] << odd).astype(float)), -(n + odd) // 2)
+    w = np.vstack((mag, mag[n - len(low) :: -1]))
+    w[kraw < 0] *= -1.0
+    w.flags.writeable = False
+    return w
+
+
+def _mixer_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """H_x's eigenvalues n - 2k, exact, and u = sqrt(P), the cost's H_0 = u u^T, in W's basis."""
+    return n - 2.0 * np.arange(n + 1), _mixer_basis(n)[0]
+
+
+def _plus(n: int) -> np.ndarray:
+    """|+>^n in H_x's eigenbasis: the unit vector e_0."""
+    return np.eye(1, n + 1, dtype=complex)[0]
 
 
 def _times_plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:

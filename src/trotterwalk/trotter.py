@@ -10,18 +10,17 @@ sequence, i.e. a QAOA circuit of depth p = r * 5^(q/2-1); the leading
 half-mixer acts on |+>^n as a global phase, which is how the grouped
 sequence and the depth-p ansatz coincide.
 
-Steps are built and powered in H_x's eigenbasis W, made from exact
-integers: there every mixer exponential is diagonal with exact eigenvalues
-n - 2k, the cost projector is the rank-1 u u^T with u = sqrt(P), and |+>^n
-is the unit vector e_0.  States and operators are taken to the Dicke basis
-once, at the end, by products with W.
+Steps are built and powered in ``symspace``'s working basis W, H_x's
+exact eigenbasis: there every mixer exponential is diagonal with exact
+eigenvalues n - 2k, the cost projector is the rank-1 u u^T with u = sqrt(P),
+and |+>^n is the unit vector e_0.  States and operators are taken to the
+Dicke basis once, at the end, by products with W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -91,46 +90,6 @@ def group_sequence(q: int, r: int, t: float) -> tuple[Factor, ...]:
     return tuple(_angles_to_factors(qaoa_angles(q, t, r)))
 
 
-@lru_cache(maxsize=1)
-def _mixer_basis(n: int) -> np.ndarray:
-    """H_x's eigenbasis W, W_jk = <e_j|H^(x n)|e_k>, real; the last size's is cached, read-only.
-
-    Column k is H_x's eigenvector for the eigenvalue n - 2k.  W is symmetric
-    and its own inverse, so a Dicke-basis X reads W X W here: |+> is e_0 and
-    H_0 is u u^T with u = W[0] = sqrt(P).  W_jk = 2^(-n/2) sqrt(C(n,j)/C(n,k)) K_k(j)
-    with the Krawtchouk values K_k(j) (MacWilliams & Sloane, The Theory of
-    Error-Correcting Codes, 1977, ch. 5), from K_k(0) = C(n,k) and
-    K_k(j+1) = K_k(j) - K_(k-1)(j) - K_(k-1)(j+1) in exact integers, for
-    j <= n/2; the rows past n/2 are reflections, K_k(n-j) = (-1)^k K_k(j).  As
-    C(n,j) K_k(j) = C(n,k) K_j(k), W_jk = sign(K_k(j)) sqrt(K_k(j) K_j(k) / 2^n):
-    the integer product and its square root are each rounded once, so W is
-    exactly symmetric and its row 0 is ``plus_state``'s amplitudes bit for bit.
-    Every caller works through one size at a time, so one W is kept, as one
-    step is by ``_mixer_basis_step``.
-    """
-    symspace.check_n(n)
-    rows = [[comb(n, k) for k in range(n + 1)]]
-    for _ in range(n // 2):
-        prev, row = rows[-1], []
-        for k in range(n + 1):
-            row.append(prev[k] - prev[k - 1] - row[k - 1] if k else prev[0])
-        rows.append(row)
-    low = np.array(rows, dtype=object)
-    kraw = np.vstack((low, low[n - len(low) :: -1] * (1 - 2 * (np.arange(n + 1) % 2))))
-    odd = n % 2  # 2^(-n/2) = 2^odd * 2^(-(n + odd)/2), the last factor exact
-    # K_k(n-j) K_(n-j)(k) = K_k(j) K_j(k): row n - j of |W| is row j
-    mag = np.ldexp(np.sqrt((low * kraw.T[: len(low)] << odd).astype(float)), -(n + odd) // 2)
-    w = np.vstack((mag, mag[n - len(low) :: -1]))
-    w[kraw < 0] *= -1.0
-    w.flags.writeable = False
-    return w
-
-
-def _mixer_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """H_x's eigenvalues n - 2k, exact, and u = sqrt(P), the cost's H_0 = u u^T, in W's basis."""
-    return n - 2.0 * np.arange(n + 1), _mixer_basis(n)[0]
-
-
 def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOperator:
     """Operator realized by an exponent-factor sequence (first factor rightmost).
 
@@ -141,7 +100,7 @@ def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOper
     step keeps its digits below machine epsilon.  The result is W E W, in
     the Dicke basis.
     """
-    lam, u = _mixer_spectrum(n)
+    lam, u = symspace._mixer_spectrum(n)
     e = np.zeros((n + 1, n + 1), dtype=complex)
     for tag, tau in factors:
         if tag == COST:
@@ -152,7 +111,7 @@ def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOper
             e.flat[:: n + 2] += a  # the diagonal
         else:
             raise ValueError(f"unknown generator tag {tag!r}")
-    w = _mixer_basis(n)
+    w = symspace._mixer_basis(n)
     return SymOperator(n, w @ e @ w)
 
 
@@ -169,7 +128,7 @@ def _recursive_delta(n: int, alpha: float, q: int, tau: float) -> np.ndarray:
     needs about seven.
     """
     if q == 2:
-        lam, root_p = _mixer_spectrum(n)
+        lam, root_p = symspace._mixer_spectrum(n)
         du = np.exp(-0.5j * alpha * tau * lam) * root_p
         e = np.multiply.outer(np.expm1(-1j * tau) * du, du)
         e.flat[:: n + 2] += np.expm1(-1j * alpha * tau * lam)  # the diagonal
@@ -206,13 +165,8 @@ def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
     rank-1 matrix, and three products per level, 21 for q = 8, then taken
     to the Dicke basis as W E W.
     """
-    w = _mixer_basis(n)
+    w = symspace._mixer_basis(n)
     return SymOperator(n, w @ _mixer_basis_step(n, q, t, r).delta @ w)
-
-
-def _plus(n: int) -> np.ndarray:
-    """|+>^n in H_x's eigenbasis: the unit vector e_0."""
-    return np.eye(1, n + 1, dtype=complex)[0]
 
 
 def trotterized_state(n: int, q: int, t: float, r: int) -> SymVector:
@@ -220,8 +174,8 @@ def trotterized_state(n: int, q: int, t: float, r: int) -> SymVector:
 
     The state is taken to the Dicke basis by one product with W.
     """
-    psi = symspace.apply_powers(_mixer_basis_step(n, q, t, r), [r], _plus(n))[0]
-    return SymVector(n, _mixer_basis(n) @ psi)
+    psi = symspace.apply_powers(_mixer_basis_step(n, q, t, r), [r], symspace._plus(n))[0]
+    return SymVector(n, symspace._mixer_basis(n) @ psi)
 
 
 # slices of n + 1 trace samples powered together in one pass: a pass holds a
@@ -254,11 +208,11 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
     points = [int(x) for x in np.rint(points)]
     points[-1] = r  # float spacing loses the endpoint once r > 2^53
     *below, _ = steps = sorted(set(points))
-    step, w = _mixer_basis_step(n, q, t, r), _mixer_basis(n)
+    step, w = _mixer_basis_step(n, q, t, r), symspace._mixer_basis(n)
     size = _TRACE_SLICES * (n + 1)
     amps = []
     for start in range(0, len(below), size):
-        *block, last = symspace.apply_powers(step, below[start : start + size] + [r], _plus(n))
+        *block, last = symspace.apply_powers(step, below[start : start + size] + [r], symspace._plus(n))
         # the target amplitudes of n + 1 states per product
         amps += [w[0] @ np.column_stack(block[i : i + n + 1]) for i in range(0, len(block), n + 1)]
     amps.append([(w @ last)[0]])

@@ -181,7 +181,7 @@ def eigenphase_power(u: SymOperator, m: int) -> np.ndarray:
 
 
 def krawtchouk_mixer_basis(n: int) -> np.ndarray:
-    """H_x's eigenbasis W as ``trotter._mixer_basis`` defines it, with every
+    """H_x's eigenbasis W as ``symspace._mixer_basis`` defines it, with every
     Krawtchouk row K_k(j), j = 0..n, taken through the recurrence
     K_k(j+1) = K_k(j) - K_(k-1)(j) - K_(k-1)(j+1) from K_k(0) = C(n,k)."""
     check_n(n)

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
 import oracle
-from trotterwalk import bounds, cli, ctqw, depthsearch, trotter
+from trotterwalk import bounds, cli, ctqw, depthsearch, symspace, trotter
 
 
 def test_delta_bound_value():
@@ -89,6 +90,19 @@ def test_analytic_depth_consistency():
     est = bounds.analytic_depth(30, 4, 0.01)
     assert est.p_analytic > 0 and math.isfinite(est.log2_p)
     assert est.log2_p == pytest.approx(math.log2(est.p_analytic), rel=1e-12)
+
+
+def test_analytic_depth_refuses_forms_that_disagree(monkeypatch):
+    # the direct and the prefactor form are one expression; a doubled p0
+    # moves the prefactor form by ln 2, and the refusal names both values
+    ln_p = math.log(bounds.analytic_depth(46, 4, 0.01).p_analytic)
+    p0 = bounds.p0
+    monkeypatch.setattr(bounds, "p0", lambda n, q: 2.0 * p0(n, q))
+    with pytest.raises(RuntimeError, match=r"depth forms disagree: .* at \(n=46, q=4, eps=0.01\)") as err:
+        bounds.analytic_depth(46, 4, 0.01)
+    direct, prefactor = map(float, re.search(r"ln p = (\S+) vs (\S+) at", str(err.value)).groups())
+    assert direct == pytest.approx(ln_p, rel=1e-12)
+    assert prefactor - direct == pytest.approx(math.log(2.0), rel=1e-9)
 
 
 def test_p0_below_half():
@@ -225,9 +239,9 @@ def test_spectral_error_keeps_one_size_cached():
         ts = ctqw.t_star(n)
         err = bounds.spectral_error(n, 2, ts, 2**10)
         assert ctqw.walk_eigensystem.cache_info().currsize == 1
-        assert trotter._mixer_basis.cache_info().currsize == 1
+        assert symspace._mixer_basis.cache_info().currsize == 1
         eig = ctqw.walk_eigensystem(n, ctqw.alpha_star(n))
-        found = (err, *(a.tobytes() for a in eig), trotter._mixer_basis(n).tobytes())
+        found = (err, *(a.tobytes() for a in eig), symspace._mixer_basis(n).tobytes())
         assert seen.setdefault(n, found) == found, n
 
 
@@ -266,7 +280,7 @@ def test_no_lapack_call_in_the_library(monkeypatch, tmp_path):
     for name in LAPACK_ENTRY_POINTS:
         for module in (np.linalg, impl):
             monkeypatch.setattr(module, name, refuse(name))
-    for cache in (ctqw.walk_eigensystem, trotter._mixer_basis, trotter._mixer_basis_step):
+    for cache in (ctqw.walk_eigensystem, symspace._mixer_basis, trotter._mixer_basis_step):
         cache.cache_clear()
     # a deep-power cell as perfbench runs it
     n, eps = 56, 0.1

@@ -165,6 +165,9 @@ def test_output_path_under_a_file_is_refused(out, tmp_path, capsys):
         (["grover-curve", "--n", "6", "--k-max", "0"], None, "--k-max must be >= 1, got 0"),
         # from an @file as from the command line, argparse's choices refuse it
         (["overlap-trace"], "--n 6 --epsilon 0.1 --spacing bogus", "argument --spacing: invalid choice: 'bogus'"),
+        (["analytic-depth", "--epsilon", "0.1"], None, "no system size given (use --n or --n-range)"),
+        (["analytic-depth", "--n", "10"], None, "no error budget given (use --epsilon or --epsilon-list)"),
+        (["grover-curve", "--n-range", "6..8:2"], None, "grover-curve needs exactly one system size"),
     ],
     ids=[
         "order-odd",
@@ -176,6 +179,9 @@ def test_output_path_under_a_file_is_refused(out, tmp_path, capsys):
         "samples",
         "k-max",
         "spacing-from-config",
+        "no-size",
+        "no-epsilon",
+        "grover-curve-two-sizes",
     ],
 )
 def test_validate_refusals(args, file, message, tmp_path, capsys):
@@ -193,10 +199,32 @@ def test_validate_refusals(args, file, message, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_validate_refuses_an_unknown_experiment():
+    # the CLI's subcommands never let this through; a config built in Python can
+    config = cli.ExperimentConfig(experiment="bogus", ns=[6], epsilons=[0.1])
+    assert cli.validate(config) == ["unknown experiment 'bogus'"]
+
+
 def test_validate_refuses_a_spacing_set_in_python():
     # the CLI's choices never let this through; a config built in Python can
     config = cli.ExperimentConfig(experiment="overlap-trace", ns=[6], epsilons=[0.1], spacing="bogus")
     assert cli.validate(config) == ["--spacing must be linear or geometric, got 'bogus'"]
+
+
+def test_sidecar_duration_covers_the_csv_write(tmp_path, monkeypatch):
+    # overlap-trace forms its rows as the CSV is written, so a slow row
+    # must show in the sidecar's duration
+    closed_form, slept = depthsearch.grover_closed_form, []
+
+    def slow_once(n, k):
+        if not slept:
+            slept.append(time.sleep(0.2))
+        return closed_form(n, k)
+
+    monkeypatch.setattr(depthsearch, "grover_closed_form", slow_once)
+    out = tmp_path / "trace.csv"
+    assert cli.main(["overlap-trace", "--n", "10", "--epsilon", "0.01", "--samples", "5", "--out", str(out)]) == cli.EXIT_OK
+    assert slept and read_sidecar(out)["duration_seconds"] >= 0.2
 
 
 def test_json_out_keeps_a_separate_sidecar(tmp_path):
@@ -672,6 +700,16 @@ def test_failed_cells_through_the_pool(experiment, orders, tmp_path, monkeypatch
     errors = read_sidecar(out)["errors"]
     assert [(e["n"], e["epsilon"], e["q"]) for e in errors] == [(8, 0.001, 2), (8, 0.01, 2), (10, 0.001, 2), (10, 0.01, 2)]
     assert all("scanned 1 multipliers at level 0" in e["message"] for e in errors)
+
+
+@pytest.mark.parametrize("module, loads", [("symspace", ["symspace"]), ("ctqw", ["ctqw", "symspace"])])
+def test_module_imports_no_module_above_it(module, loads):
+    # the package is one chain, symspace <- ctqw <- trotter <- bounds <- depthsearch <- cli
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = f"import sys, trotterwalk.{module}; print(*sorted(m for m in sys.modules if m.startswith('trotterwalk.')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [f"trotterwalk.{name}" for name in loads]
 
 
 def test_package_import_loads_no_numpy():

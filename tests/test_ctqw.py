@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracle import walk_eigh
-from trotterwalk import ctqw, symspace, trotter
+from trotterwalk import ctqw, symspace
 
 EPS = np.finfo(float).eps
 
@@ -147,7 +147,7 @@ def test_walk_eigensystem_matches_eigh(coupling):
         assert np.max(np.abs(lam[::-1] - expected)) <= 8 * EPS * norm, n
         z = eig.vectors
         assert np.max(np.abs(z.T @ z - np.eye(n + 1))) <= 10 * EPS, n
-        u = trotter._mixer_basis(n)[0]
+        u = symspace._mixer_basis(n)[0]
         h = alpha * np.diag(n - 2.0 * np.arange(n + 1)) + np.outer(u, u)
         assert np.max(np.abs((z * lam) @ z.T - h)) <= 16 * EPS * np.max(np.abs(h)), n
 
@@ -159,7 +159,7 @@ def test_walk_eigensystem_negative_coupling():
     lam = alpha * eig.level + eig.offset
     expected, _ = walk_eigh(n, alpha)
     assert np.max(np.abs(lam[::-1] - expected)) <= 8 * EPS * np.max(np.abs(expected))
-    u = trotter._mixer_basis(n)[0]
+    u = symspace._mixer_basis(n)[0]
     h = alpha * np.diag(n - 2.0 * np.arange(n + 1)) + np.outer(u, u)
     assert np.max(np.abs((eig.vectors * lam) @ eig.vectors.T - h)) <= 16 * EPS * np.max(np.abs(h))
 
@@ -178,6 +178,8 @@ def test_ctqw_overlaps_match_one_time_at_a_time():
 def test_ctqw_overlap_rejects_negative_time():
     with pytest.raises(ValueError):
         ctqw.ctqw_overlap(4, 0.2, -1.0)
+    with pytest.raises(ValueError, match="evolution time must be >= 0, got -1.0"):
+        ctqw.ctqw_state(4, 0.2, -1.0)
 
 
 @pytest.mark.parametrize("n", [12, 16, 20, 24])
@@ -208,6 +210,11 @@ def test_low_eigenstates_structure():
     assert pair.energies[0] > pair.energies[1]
     with pytest.raises(ValueError):
         ctqw.low_eigenstates(1)
+    # the split 2 alpha* xi halves every two qubits: 1.13e-13 at n = 88 passes
+    # the 1e-13 limit, 5.65e-14 at n = 90 does not
+    ctqw.low_eigenstates(88)
+    with pytest.raises(ValueError, match="extremal pair is degenerate to 5.651e-14; phases undefined"):
+        ctqw.low_eigenstates(90)
 
 
 def test_low_eigenstates_plus_overlap():

@@ -126,30 +126,30 @@ def test_kept_squares_stay_complex_symmetric(n, q, r):
 def test_mixer_basis_is_exact(n):
     # W is built from exact Krawtchouk integers; eigh's vectors of H_x miss
     # the eigen-equation by 6.0e-14 at n = 80
-    w = trotter._mixer_basis(n)
+    w = symspace._mixer_basis(n)
     assert w.dtype == np.float64 and np.array_equal(w, w.T)
     assert np.max(np.abs(w @ w - np.eye(n + 1))) <= 1e-15
     lam = n - 2.0 * np.arange(n + 1)
     assert np.max(np.abs(oracle.build_hx(n).real @ w - w * lam)) <= 1e-14
-    # |+> is exactly e_0, so a state powered from e_0 starts as |+> bit for bit
-    assert w[0].tobytes() == symspace.plus_state(n).amp.real.tobytes()
+    # row 0 is sqrt(P) correctly rounded: plus_state's amplitudes, which it reads
+    assert w[0].tobytes() == np.sqrt(symspace.p_weights(n)).tobytes()
 
 
 def test_mixer_basis_matches_the_full_recurrence():
     # the rows past n/2 are reflections of the rows below; W is bit for bit
     # the matrix that the recurrence through every row makes
     for n in range(1, 81):
-        w, reference = trotter._mixer_basis(n), krawtchouk_mixer_basis(n)
+        w, reference = symspace._mixer_basis(n), krawtchouk_mixer_basis(n)
         assert w.shape == reference.shape and w.tobytes() == reference.tobytes(), n
 
 
 def test_mixer_basis_is_read_only():
     for n in (1, 2, 44, 80):
-        w = trotter._mixer_basis(n)
+        w = symspace._mixer_basis(n)
         expected = w.copy()
         with pytest.raises(ValueError):
             w[0, 0] = 99.0
-        assert np.array_equal(trotter._mixer_basis(n), expected)
+        assert np.array_equal(symspace._mixer_basis(n), expected)
 
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
@@ -262,7 +262,7 @@ def test_overlap_trace_matches_lone_powers(n, q, eps, spacing, samples, monkeypa
     # from a lone power's matrix-vector products in the last bits; 20,000
     # samples at n = 20 are 60 passes of 16 slices of n + 1
     t, r = ctqw.t_star(n), bounds.required_steps(n, q, eps)
-    step, w = trotter._mixer_basis_step(n, q, t, r), trotter._mixer_basis(n)
+    step, w = trotter._mixer_basis_step(n, q, t, r), symspace._mixer_basis(n)
     e0 = np.eye(1, n + 1, dtype=complex)[0]
     tracemalloc.start()
     try:
