@@ -364,7 +364,7 @@ FLAGS = {
     "--epsilon-list": ("epsilons", {"type": parse_float_list, "help": "comma-separated error budgets"}),
     "--order": ("order", {"help": "even formula order, or 'auto' (default)"}),
     "--orders": ("orders", {"type": parse_int_list, "help": "admissible orders, e.g. '2,4,6,8'"}),
-    "--samples": ("samples", {"type": int, "help": f"trace sample count (at most {MAX_ROWS})"}),
+    "--samples": ("samples", {"type": int, "help": f"trace prefix lengths to sample, at most {MAX_ROWS}; lengths that round to one step count give one row"}),
     "--spacing": ("spacing", {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
     "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {MAX_ROWS})"}),
     "--workers": ("workers", {"type": int, "help": "processes that take cells from one queue, the calling one and the children it forks, on Linux only (default or 0: one per usable CPU, which also caps it)"}),

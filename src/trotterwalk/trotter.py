@@ -129,9 +129,11 @@ def _recursive_delta(n: int, alpha: float, q: int, tau: float) -> np.ndarray:
     """
     if q == 2:
         lam, root_p = symspace._mixer_spectrum(n)
-        du = np.exp(-0.5j * alpha * tau * lam) * root_p
+        du = np.exp(-0.5j * alpha * tau * lam)
+        du *= root_p
         e = np.multiply.outer(np.expm1(-1j * tau) * du, du)
-        e.flat[:: n + 2] += np.expm1(-1j * alpha * tau * lam)  # the diagonal
+        diagonal = e.reshape(-1)[:: n + 2]  # a view
+        diagonal += np.expm1(-1j * alpha * tau * lam)
         return e
     u = u_coefficient(q // 2)
     outer = _recursive_delta(n, alpha, q - 2, u * tau)
@@ -151,7 +153,7 @@ def _mixer_basis_step(n: int, q: int, t: float, r: int) -> SymOperator:
     _check_order(q)
     _check_steps(r)
     step = SymOperator(n, _recursive_delta(n, ctqw.alpha_star(n), q, t / r))
-    step.delta.flags.writeable = False
+    step.delta.setflags(write=False)  # once per probe: a quarter of the cost of flags.writeable = False
     return step
 
 
@@ -175,7 +177,7 @@ def trotterized_state(n: int, q: int, t: float, r: int) -> SymVector:
     The state is taken to the Dicke basis by one product with W.
     """
     psi = symspace.apply_powers(_mixer_basis_step(n, q, t, r), [r], symspace._plus(n))[0]
-    return SymVector(n, symspace._mixer_basis(n) @ psi)
+    return SymVector(n, symspace._mixer_basis(n).dot(psi))
 
 
 # slices of n + 1 trace samples powered together in one pass: a pass holds a
@@ -187,7 +189,10 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
     """Target overlap after prefixes of the r-step sequence.
 
     Returns (steps_applied, overlap) pairs at `samples` prefix lengths from
-    0 to r, spaced linearly or geometrically.  All prefixes share the
+    0 to r, spaced linearly or geometrically and rounded to whole steps;
+    lengths that round to the same step count give one pair, so fewer pairs
+    come back when r + 1 < samples, or when geometric points crowd below a
+    few steps (41 samples at r = 1572901 give 40).  All prefixes share the
     squarings of the step operator, O(log r) matrix products.  The states
     below r are powered in passes of ``_TRACE_SLICES`` slices of n + 1
     columns, each pass one ``symspace.apply_powers`` call with r as its top
@@ -215,7 +220,7 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
         *block, last = symspace.apply_powers(step, below[start : start + size] + [r], symspace._plus(n))
         # the target amplitudes of n + 1 states per product
         amps += [w[0] @ np.column_stack(block[i : i + n + 1]) for i in range(0, len(block), n + 1)]
-    amps.append([(w @ last)[0]])
+    amps.append([w.dot(last)[0]])
     return [(m, float(abs(a) ** 2)) for m, a in zip(steps, np.concatenate(amps))]
 
 

@@ -5,8 +5,9 @@ cross-checking the symmetric-subspace evolution at small n, the dense
 Dicke-basis Hamiltonians H_x and H_0, the walk solved by a dense ``eigh``
 of them, a Trotter step built in the Dicke basis from a numerical
 eigensystem of H_x, a unitary's power through its eigenphases, the Dicke
-basis vectors, H_x's eigenbasis from the full Krawtchouk recurrence, and
-spectral norms from LAPACK's SVD, the commutator sum among them.
+basis vectors, H_x's eigenbasis from the full Krawtchouk recurrence,
+spectral norms from LAPACK's SVD, the commutator sum among them, and a
+Trotterized state by the plain step recursion and squaring loop.
 """
 
 import itertools
@@ -196,3 +197,47 @@ def krawtchouk_mixer_basis(n: int) -> np.ndarray:
     w = np.ldexp(np.sqrt((kraw * kraw.T << odd).astype(float)), -(n + odd) // 2)
     w[kraw < 0] *= -1.0
     return w
+
+
+def reference_probe(n: int, q: int, t: float, r: int) -> np.ndarray:
+    """S_q(t/r)^r |+>^n in the Dicke basis, with the arithmetic of ``trotter.trotterized_state`` written plainly.
+
+    The step E = S_q(t/r) - I is built in H_x's eigenbasis W by the
+    documented recursion S_q = S_o^2 S_m S_o^2, every product as
+    (I + X)(I + Y) - I = X + Y + XY, from order-2 blocks
+    diag(expm1(-i alpha tau lambda)) + c (D u)(D u)^T.  Its k-th square is
+    2E + E^2, taken as E + E + E E, followed at every fourth k by one
+    Newton-Schulz step E - (D + E D) / 2 with D = E^dag + E + E^dag E, and
+    at each set bit k of r the state y = e_0 becomes y + E y.  Each array
+    operation is the one the library makes, in the same order (its
+    products call ``ndarray.dot``, which makes the BLAS call ``@`` makes),
+    so the amplitudes must agree with it bit for bit.
+    """
+    alpha, tau = ctqw.alpha_star(n), t / r
+    w = krawtchouk_mixer_basis(n)
+    lam, root_p = n - 2.0 * np.arange(n + 1), w[0]
+
+    def times_plus(x, y):
+        return x + y + x @ y
+
+    def build(q, tau):
+        if q == 2:
+            du = np.exp(-0.5j * alpha * tau * lam) * root_p
+            e = np.multiply.outer(np.expm1(-1j * tau) * du, du)
+            e[np.diag_indices(n + 1)] += np.expm1(-1j * alpha * tau * lam)
+            return e
+        u = u_coefficient(q // 2)
+        outer = build(q - 2, u * tau)
+        outer = times_plus(outer, outer)
+        return times_plus(outer, times_plus(build(q - 2, (1.0 - 4.0 * u) * tau), outer))
+
+    e, y = build(q, tau), np.eye(1, n + 1, dtype=complex)[0]
+    for k in range(r.bit_length()):
+        if k:
+            e = times_plus(e, e)
+        if k and k % 4 == 0:
+            d = times_plus(e.conj().T, e)
+            e = e - 0.5 * (d + e @ d)
+        if (r >> k) & 1:
+            y = y + e @ y
+    return w @ y

@@ -99,7 +99,7 @@ def _power(u: symspace.SymOperator, m: int) -> symspace.SymOperator:
     return symspace.SymOperator(u.n, symspace.apply_powers(u, [m], eye)[0] - eye)
 
 
-def test_matrix_power_trivial():
+def test_power_of_identity_trivial():
     u = _evolution(oracle.build_hx(2), 0.3)
     assert np.allclose(_power(u, 1).entries, u.entries)
     assert np.allclose(_power(u, 0).entries, np.eye(3))
@@ -107,7 +107,7 @@ def test_matrix_power_trivial():
         _power(u, -1)
 
 
-def test_matrix_power_matches_naive_product():
+def test_power_of_identity_matches_naive_product():
     op = trotter.step_operator(8, 4, ctqw.t_star(8), 64)
     naive = np.eye(9, dtype=complex)
     for _ in range(16):
@@ -118,7 +118,7 @@ def test_matrix_power_matches_naive_product():
 # only unitary steps are powered: apply_powers projects every fourth square
 # to its unitary polar factor, which would rewrite a non-unitary operator
 @pytest.mark.parametrize("unitary", [True])
-def test_apply_powers_matches_matrix_power(unitary):
+def test_apply_powers_matches_power_of_identity(unitary):
     op = trotter.step_operator(8, 4, ctqw.t_star(8), 64)
     assert (op.unitarity_defect() <= 1e-12) == unitary
     x = symspace.plus_state(op.n).amp
@@ -176,7 +176,7 @@ def test_powering_leaves_its_operator_untouched():
     assert power.delta.tobytes() == power_again.delta.tobytes()
 
 
-def test_matrix_power_unitarity_drift():
+def test_power_of_identity_unitarity_drift():
     u = _evolution(oracle.build_hx(8), 0.7)
     assert _power(u, 10**6).unitarity_defect() <= 1e-9
 
@@ -196,7 +196,7 @@ def test_sparse_projection_keeps_powers_unitary(n, eps):
     assert abs(trotter.trotterized_state(n, q, t, r).norm() - 1.0) <= 1e-13
 
 
-def test_matrix_power_additivity_on_unitary():
+def test_power_of_identity_additivity_on_unitary():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     u = _evolution((m + m.conj().T) / 2, 1.3)

@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from oracle import dicke_step_delta, full_space_oracle, krawtchouk_mixer_basis
-from trotterwalk import bounds, ctqw, symspace, trotter
+from trotterwalk import bounds, ctqw, depthsearch, symspace, trotter
 from trotterwalk.symspace import COST, MIXER
 
 
@@ -197,6 +197,26 @@ def test_cell_shares_one_powered_step(monkeypatch):
     assert cell() == shared
 
 
+# three step counts the depth search accepts at eps = 0.01 (n, q, multiplier
+# index d on its grid), and one past 2^40 where the step is far closer to I
+@pytest.mark.parametrize(
+    "n, q, r",
+    [(16, 4, depthsearch._steps_at(16, 10976)), (24, 8, depthsearch._steps_at(24, 1531)), (44, 8, depthsearch._steps_at(44, 2972))]
+    + [(56, 4, bounds.required_steps(56, 4, 0.01))],
+)
+def test_probe_matches_plain_reference_bit_for_bit(n, q, r):
+    # a search probe makes the same array operations, in the same order, as
+    # the plain recursion and squaring loop of the oracle.  From n = 72 on,
+    # roundoff decides rows of the README sweep, so a tolerance would not
+    # guard them.  A second powering starts from the kept squares and must
+    # give the same bits too
+    t = ctqw.t_star(n)
+    reference = oracle.reference_probe(n, q, t, r).tobytes()
+    trotter._mixer_basis_step.cache_clear()
+    assert trotter.trotterized_state(n, q, t, r).amp.tobytes() == reference
+    assert trotter.trotterized_state(n, q, t, r).amp.tobytes() == reference
+
+
 # the last case has r > 2^53, where the step's delta lies below machine epsilon of I
 @pytest.mark.parametrize("n, q, eps", [(n, q, 0.01) for n in (8, 32, 68) for q in (2, 4, 6, 8)] + [(80, 4, 0.001)])
 def test_recursive_step_matches_factor_walk(n, q, eps):
@@ -236,7 +256,7 @@ def test_overlap_trace_endpoints():
     # both power the same cached step through symspace.apply_powers and take
     # the target amplitude as (W psi)[0], so the last sample is exact, also
     # past r = 2^53 where the step is within machine epsilon of I, and when
-    # more samples than r + 1 make points repeat
+    # points that round to one step count repeat
     for n, q, r in ((10, 2, 512), (10, 2, 6), (80, 4, bounds.required_steps(80, 4, 0.001))):
         t = ctqw.t_star(n)
         for spacing in ("linear", "geometric"):
@@ -245,6 +265,13 @@ def test_overlap_trace_endpoints():
             assert steps == sorted(set(steps)) and (len(steps) == 9 if r >= 9 else steps == list(range(r + 1)))
             assert trace[0] == (0, pytest.approx(2.0**-n, rel=1e-12))
             assert trace[-1] == (r, abs(trotter.trotterized_state(n, q, t, r).amp[0]) ** 2)
+    # r far above the sample count, yet the first geometric points round to
+    # 1, 1, 2, 3 steps: 41 samples give 40 pairs, as overlap-trace's 40 rows
+    n, q = 20, 4
+    r = bounds.required_steps(n, q, 0.01)
+    trace = trotter.overlap_trace(n, q, ctqw.t_star(n), r, samples=41, spacing="geometric")
+    steps = [m for m, _ in trace]
+    assert r == 1572901 and steps == sorted(set(steps)) and len(steps) == 40 and steps[:5] == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize(
