@@ -15,7 +15,8 @@ Bisection needs a rejected step count to stay rejected.  At the default
 D_CAP the doubling leaves a bracket of power-of-two width, so while it
 spans more than one multiplier its midpoints are whole multipliers d, where
 each step covers tau = t*/r = pi/(2d) <= pi/2, well below the tau of about
-2 to 9 where the q = 8 deficit oscillates in r; its finer halvings can
+2 to 9 where the q = 8 deficit oscillates in r (and the q = 4 deficit at
+epsilon = 0.1, at tau of about 2 to 3.7); its finer halvings can
 reach that window, where the bisection returns one crossing of the budget,
 not necessarily the first.
 """
@@ -77,9 +78,11 @@ def numeric_optimal_depth(n: int, q: int, epsilon_overlap: float) -> DepthSearch
     DepthSearchError if 1 + D_CAP multipliers fail too; then it bisects.
 
     That is the smallest depth on the grid only while a rejected step
-    count stays rejected, as at q = 2 and 4.  At q = 8 the deficit is not
-    monotone in r, and the result is the crossing the bisection lands on:
-    at (44, 8, 0.01) r = 0.727 r_final also meets the budget.  Bisecting
+    count stays rejected, as at q = 2, and at q = 4 for epsilon <= 0.01.  At
+    q = 8, and at q = 4 with epsilon = 0.1, the deficit is not monotone in
+    r, and the result is the crossing the bisection lands on: at
+    (44, 8, 0.01) r = 0.727 r_final also meets the budget, and at
+    (22, 4, 0.1) r = 868 against r_final = 1630.  Bisecting
     whole multipliers relies on the same assumption, but only at
     tau = t*/r <= pi/2, below the tau of about 2 to 9 where q = 8 oscillates.
     """

@@ -4,10 +4,12 @@ An n-qubit state that is invariant under qubit permutations lives in the
 (n+1)-dimensional span of the Dicke states |e_k>, the uniform superpositions
 of all bit strings of Hamming weight k.  Everything in this package evolves
 inside that subspace, so states are length-(n+1) complex vectors and
-operators are dense (n+1)x(n+1) matrices.  SymVector and SymOperator hold
-them in the Dicke basis.  The working basis is H_x's exact eigenbasis W,
-built here (``_mixer_basis``): the walk is solved and Trotter steps are
-built and powered in W, and products with W take results to the Dicke basis.
+operators are dense (n+1)x(n+1) matrices.  SymVector holds a state in the
+Dicke basis.  The working basis is H_x's exact eigenbasis W, built here
+(``_mixer_basis``): the walk is solved and Trotter steps are built and
+powered in W, and products with W take results to the Dicke basis.  A
+SymOperator holds the basis its builder names: ``trotter.step_operator``'s
+is the Dicke basis, ``trotter._mixer_basis_step``'s is W.
 """
 
 from __future__ import annotations
@@ -274,15 +276,18 @@ def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
     squaring instead of 3.  The projected squares are kept on u (15 for r
     just below 2^60), so a later powering of it makes no projection and
     at most 0.75 products per squaring (``SymOperator._squares``).
-    The largest m, and its duplicates, is carried apart, as a lone m would
-    be, so its output does not depend on the other steps.  For the others,
-    x is copied into one block, a column per power and column of x, and at
-    each k the columns whose m has bit k set are updated in slices of at
-    most n + 1, so no temporary is larger than one matrix.  A column of such
-    a product can differ from a lone power's matrix-vector product in its
-    last bits.  One power, however often it is named (every depth-search
-    probe and every spectral error asks for one), leaves no others: no
-    block, bit table or column mask is made, and the loop only updates x.
+    x is a vector, or a matrix with one step count, however often it is
+    named (a spectral error powers the identity); a matrix with several
+    raises ValueError.  The largest m, and its duplicates, is carried apart,
+    as a lone m would be, so its output does not depend on the other steps.
+    For the others, the vector x is copied into one block, a column per
+    distinct m, and at each k the columns whose m has bit k set are updated
+    in slices of at most n + 1, so no temporary is larger than one matrix;
+    the powers' bits are read from their bytes, as they may pass 2^64.  A
+    column of such a product can differ from a lone power's matrix-vector
+    product in its last bits.  One power (every depth-search probe asks for
+    one) leaves no others: no block or bit table is made, and the loop only
+    updates x.
     """
     steps = list(steps)
     for m in steps:
@@ -295,24 +300,23 @@ def apply_powers(u: SymOperator, steps, x: np.ndarray) -> list[np.ndarray]:
     for m in others:
         below |= m
     if others:
-        columns = np.asarray(x, dtype=complex).reshape(len(x), -1)
-        (rows, width), stride = columns.shape, len(others)
-        # column i of the j-th power's x is the block's column i * stride + j
-        block = columns.repeat(stride, axis=1)
+        if np.ndim(x) != 1:
+            raise ValueError(f"a matrix takes one step count, got {len(others) + 1}")
+        # column j of the block is x for the j-th power
+        block = np.asarray(x, dtype=complex)[:, None].repeat(len(others), axis=1)
         # bit k of others[j] is bit k % 8 of table[j, k // 8]; the powers may pass 2^64
         size = below.bit_length() // 8 + 1
-        table = np.fromiter((m.to_bytes(size, "little") for m in others), f"S{size}", stride)
-        table = table.view(np.uint8).reshape(stride, size)
+        table = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in others), np.uint8).reshape(-1, size)
     y = x
     for k, e in u._squares(top | below):
         if (top >> k) & 1:
             y = y + e.dot(y)
         if (below >> k) & 1:
-            cols = np.flatnonzero(np.tile((table[:, k // 8] >> k % 8) & 1, width))
-            for start in range(0, len(cols), rows):
-                part = cols[start : start + rows]
+            cols = np.flatnonzero((table[:, k // 8] >> k % 8) & 1)
+            for start in range(0, len(cols), len(x)):
+                part = cols[start : start + len(x)]
                 sub = block[:, part]
                 block[:, part] = sub + e.dot(sub)
-    out = {m: block[:, j::stride].reshape(x.shape) for j, m in enumerate(others)}
+    out = {m: block[:, j] for j, m in enumerate(others)}
     out[top] = y
     return [out[m] for m in steps]

@@ -97,14 +97,15 @@ def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOper
     I + A is a diagonal scaling (mixer, A = diag(expm1(-i alpha tau lambda)))
     or a rank-1 update (cost, A = c u u^T with c = expm1(-i tau)).  E takes
     it as (I + A)(I + E) - I = E + A(I + E), O(n^2) per factor, so a short
-    step keeps its digits below machine epsilon.  The result is W E W, in
-    the Dicke basis.
+    step keeps its digits below machine epsilon; u^T E is summed by numpy
+    down E's columns, with no BLAS product, so E's bits do not depend on
+    the BLAS thread count.  The result is W E W, in the Dicke basis.
     """
     lam, u = symspace._mixer_spectrum(n)
     e = np.zeros((n + 1, n + 1), dtype=complex)
     for tag, tau in factors:
         if tag == COST:
-            e += np.multiply.outer(np.expm1(-1j * tau) * u, u + u @ e)
+            e += np.multiply.outer(np.expm1(-1j * tau) * u, u + (u[:, None] * e).sum(0))
         elif tag == MIXER:
             a = np.expm1(-1j * alpha * tau * lam)
             e += a[:, None] * e
@@ -198,7 +199,12 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
     columns, each pass one ``symspace.apply_powers`` call with r as its top
     power: O(log r * samples / n) more products rather than O(r), and a
     block that does not grow with `samples`.  A sample below r can differ
-    from a lone power's state in its last bits; r's is formed as
+    in its last bits from a lone power's state, and with the samples that
+    share its pass, whose columns are multiplied with it.  Its target
+    amplitude is read row-wise, with no BLAS product: (w[0] * state).sum(),
+    numpy's sum along that one state, so the read depends neither on the
+    BLAS thread count nor on the other states read with it, and the rows
+    come out the same with 1 and 2 BLAS threads.  r's is formed as
     ``trotterized_state`` forms it, so the last samples agree exactly.
     """
     if samples < 2:
@@ -218,8 +224,8 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
     amps = []
     for start in range(0, len(below), size):
         *block, last = symspace.apply_powers(step, below[start : start + size] + [r], symspace._plus(n))
-        # the target amplitudes of n + 1 states per product
-        amps += [w[0] @ np.column_stack(block[i : i + n + 1]) for i in range(0, len(block), n + 1)]
+        # the target amplitudes of n + 1 states at a time, each state's products summed along its own row
+        amps += [(np.vstack(block[i : i + n + 1]) * w[0]).sum(1) for i in range(0, len(block), n + 1)]
     amps.append([w.dot(last)[0]])
     return [(m, float(abs(a) ** 2)) for m, a in zip(steps, np.concatenate(amps))]
 

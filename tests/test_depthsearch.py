@@ -88,6 +88,24 @@ def test_q8_depth_is_a_crossing_not_the_smallest():
     assert [accepted(r) for r in (552820, r_below, res.r_final)] == [True, False, True]
 
 
+def test_q4_depth_is_a_crossing_at_epsilon_0_1():
+    # at epsilon = 0.1 the q = 4 step runs at tau = t*/r of about 2 to 4, and
+    # its deficit is not monotone there either: r = 868 meets the budget
+    # (margin +0.012), 867 does not (-0.0098), the grid's neighbour below
+    # r_final fails by 8.7e-5, and r_final = 1630 meets it (+2.9e-4)
+    n, q, eps = 22, 4, 0.1
+    res = depthsearch.numeric_optimal_depth(n, q, eps)
+    assert res.r_final == 1630 and res.p_numerical == 8150
+    threshold = res.reference - eps
+
+    def accepted(r):
+        return abs(trotter.trotterized_state(n, q, ctqw.t_star(n), r).amp[0]) ** 2 >= threshold
+
+    r_below = depthsearch._steps_at(n, res.d - 1)
+    assert r_below == 1629
+    assert [accepted(r) for r in (868, 867, r_below, res.r_final)] == [True, False, False, True]
+
+
 def test_numeric_depth_monotone_in_epsilon():
     rs = [depthsearch.numeric_optimal_depth(10, 2, eps).r_final for eps in (0.01, 0.05, 0.2)]
     assert rs[0] >= rs[1] >= rs[2]

@@ -140,10 +140,19 @@ def test_apply_powers_on_unitary():
 
 @pytest.mark.parametrize("x", ["vector", "matrix"])
 def test_apply_powers_repeated_zero_and_empty(x):
-    # the powers below the largest are carried as columns of one block, and
-    # the largest apart, bit for bit as a lone power
+    # several step counts take a vector: the powers below the largest are
+    # carried as columns of one block, and the largest apart, bit for bit as
+    # a lone power.  A matrix takes one step count, however often it is named
     op = trotter.step_operator(8, 4, ctqw.t_star(8), 64)
-    x = symspace.plus_state(8).amp if x == "vector" else np.eye(9, dtype=complex)
+    if x == "matrix":
+        eye = np.eye(9, dtype=complex)
+        assert symspace.apply_powers(op, [], eye) == []
+        lone = symspace.apply_powers(op, [64], eye)[0]
+        assert [y.tobytes() for y in symspace.apply_powers(op, [64, 64], eye)] == [lone.tobytes()] * 2
+        with pytest.raises(ValueError, match="a matrix takes one step count, got 2"):
+            symspace.apply_powers(op, [0, 64], eye)
+        return
+    x = symspace.plus_state(8).amp
     assert symspace.apply_powers(op, [], x) == []
     steps = [5, 0, 2**40 + 3, 5, 1, 2**40 + 3, 0, 64]
     out = symspace.apply_powers(op, steps, x)
@@ -186,13 +195,17 @@ def test_power_of_identity_unitarity_drift():
 def test_sparse_projection_keeps_powers_unitary(n, eps):
     # apply_powers projects every fourth squaring; in between, the Gram defect
     # only doubles per squaring (measured at most 1.8e-14 on any rung, and
-    # 4.4e-14 on S^r itself)
+    # 4.4e-14 on S^r itself).  Each rung is copied as it comes: the squares
+    # between the kept ones are written over one working matrix
     q, t = 4, ctqw.t_star(n)
     r = bounds.required_steps(n, q, eps)
     step = trotter.step_operator(n, q, t, r)
+    rungs = [e.copy() for _, e in step._squares(2 ** r.bit_length() - 1)]
     eye = np.eye(n + 1, dtype=complex)
-    for power in symspace.apply_powers(step, [2**k for k in range(r.bit_length())] + [r], eye):
-        assert np.max(np.abs(symspace._gram_defect(power - eye))) <= 1e-13
+    rungs.append(symspace.apply_powers(step, [r], eye)[0] - eye)
+    assert len(rungs) == r.bit_length() + 1
+    for k, e in enumerate(rungs):
+        assert np.max(np.abs(symspace._gram_defect(e))) <= 1e-13, k
     assert abs(trotter.trotterized_state(n, q, t, r).norm() - 1.0) <= 1e-13
 
 

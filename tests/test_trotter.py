@@ -310,6 +310,22 @@ def test_overlap_trace_matches_lone_powers(n, q, eps, spacing, samples, monkeypa
     assert max(abs(a - b) for (_, a), (_, b) in zip(one_pass, trace)) <= 1e-13
 
 
+def test_overlap_trace_reads_each_amplitude_along_its_own_row():
+    # each target amplitude below r is (w[0] * state).sum() of its column of
+    # the pass, bit for bit: numpy's sum along that one state, which neither
+    # the BLAS thread count nor the other samples of the pass can reorder.
+    # A BLAS product w[0] @ M moved 119 of these 199 rows in their last bits
+    n, q, eps = 80, 4, 0.001
+    t, r = ctqw.t_star(n), bounds.required_steps(n, q, eps)
+    trace = trotter.overlap_trace(n, q, t, r, samples=200)
+    steps = [m for m, _ in trace]
+    assert len(steps) == 200 and steps[-1] == r
+    # one pass: 199 states below r, and r as the top power
+    columns = symspace.apply_powers(trotter._mixer_basis_step(n, q, t, r), steps, symspace._plus(n))
+    w0 = symspace._mixer_basis(n)[0]
+    assert [overlap for _, overlap in trace[:-1]] == [float(abs((w0 * y).sum()) ** 2) for y in columns[:-1]]
+
+
 def test_overlap_trace_geometric_spacing():
     trace = trotter.overlap_trace(8, 2, ctqw.t_star(8), 256, samples=6, spacing="geometric")
     steps = [m for m, _ in trace]
