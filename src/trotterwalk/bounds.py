@@ -220,5 +220,5 @@ def spectral_error(n: int, q: int, t: float, r: int) -> float:
     z = ctqw.walk_eigensystem(n, a).vectors
     u_delta = (z * ctqw._phases(n, a, np.array([float(t)]))[0]) @ z.T
     eye = np.eye(n + 1, dtype=complex)
-    s_delta = symspace.apply_powers(trotter._mixer_basis_step(n, q, t, r), [r], eye)[0] - eye
+    s_delta = symspace.apply_powers(trotter.step_operator(n, q, t, r), [r], eye)[0] - eye
     return symspace._spectral_norm(u_delta - s_delta)[0]

@@ -7,9 +7,8 @@ inside that subspace, so states are length-(n+1) complex vectors and
 operators are dense (n+1)x(n+1) matrices.  SymVector holds a state in the
 Dicke basis.  The working basis is H_x's exact eigenbasis W, built here
 (``_mixer_basis``): the walk is solved and Trotter steps are built and
-powered in W, and products with W take results to the Dicke basis.  A
-SymOperator holds the basis its builder names: ``trotter.step_operator``'s
-is the Dicke basis, ``trotter._mixer_basis_step``'s is W.
+powered in W.  Every SymOperator the library builds is in W; only states
+are taken to the Dicke basis, by one product with W.
 """
 
 from __future__ import annotations
@@ -57,7 +56,8 @@ class SymOperator:
     ``delta`` is the exact difference between the operator and I.  The
     operators here (Trotter steps and their powers) carry only it because
     rounding ``I + delta`` loses the digits of delta below machine epsilon,
-    which repeated squaring would amplify.
+    which repeated squaring would amplify.  Every one the library builds is
+    in H_x's eigenbasis W.
     """
 
     n: int
@@ -145,7 +145,7 @@ def _mixer_basis(n: int) -> np.ndarray:
     the integer product and its square root are each rounded once, so W is
     exactly symmetric and its row 0 is sqrt(P) correctly rounded.
     Every caller works through one size at a time, so one W is kept, as one
-    step is by ``trotter._mixer_basis_step``.
+    step is by ``trotter.step_operator``.
     """
     check_n(n)
     rows = [[comb(n, k) for k in range(n + 1)]]

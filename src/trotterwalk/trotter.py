@@ -13,8 +13,9 @@ sequence and the depth-p ansatz coincide.
 Steps are built and powered in ``symspace``'s working basis W, H_x's
 exact eigenbasis: there every mixer exponential is diagonal with exact
 eigenvalues n - 2k, the cost projector is the rank-1 u u^T with u = sqrt(P),
-and |+>^n is the unit vector e_0.  States and operators are taken to the
-Dicke basis once, at the end, by products with W.
+and |+>^n is the unit vector e_0.  Every operator built here stays in W;
+states alone are taken to the Dicke basis, once, at the end, by a product
+with W.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOper
     it as (I + A)(I + E) - I = E + A(I + E), O(n^2) per factor, so a short
     step keeps its digits below machine epsilon; u^T E is summed by numpy
     down E's columns, with no BLAS product, so E's bits do not depend on
-    the BLAS thread count.  The result is W E W, in the Dicke basis.
+    the BLAS thread count.  The operator is returned in W, as it is built.
     """
     lam, u = symspace._mixer_spectrum(n)
     e = np.zeros((n + 1, n + 1), dtype=complex)
@@ -112,8 +113,7 @@ def factors_operator(n: int, factors: Sequence[Factor], alpha: float) -> SymOper
             e.flat[:: n + 2] += a  # the diagonal
         else:
             raise ValueError(f"unknown generator tag {tag!r}")
-    w = symspace._mixer_basis(n)
-    return SymOperator(n, w @ e @ w)
+    return SymOperator(n, e)
 
 
 def _recursive_delta(n: int, alpha: float, q: int, tau: float) -> np.ndarray:
@@ -145,11 +145,15 @@ def _recursive_delta(n: int, alpha: float, q: int, tau: float) -> np.ndarray:
 
 # typed: a float r must miss the cache and be refused, not return an int r's step
 @lru_cache(maxsize=1, typed=True)
-def _mixer_basis_step(n: int, q: int, t: float, r: int) -> SymOperator:
-    """One Trotter step S_q(t/r) in H_x's eigenbasis, at alpha*(n), with its exact delta; cached, read-only.
+def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
+    """One Trotter step S_q(t/r) in H_x's eigenbasis W, at alpha*(n), with its exact delta; cached, read-only.
 
-    The last step built is cached, so the state, spectral error and trace of
-    one (n, q, t, r) share it and the squares its first powering keeps.
+    Built by the Suzuki recursion
+    S_q(tau) = S_(q-2)(u tau)^2 S_(q-2)((1-4u) tau) S_(q-2)(u tau)^2
+    in E = S - I form: 2^(q/2-1) order-2 blocks, each a diagonal plus a
+    rank-1 matrix, and three products per level, 21 for q = 8.  The last
+    step built is cached, so the state, spectral error and trace of one
+    (n, q, t, r) share it and the squares its first powering keeps.
     """
     _check_order(q)
     _check_steps(r)
@@ -158,26 +162,12 @@ def _mixer_basis_step(n: int, q: int, t: float, r: int) -> SymOperator:
     return step
 
 
-def step_operator(n: int, q: int, t: float, r: int) -> SymOperator:
-    """One Trotter step S_q(t/r) as an (n+1)x(n+1) unitary in the Dicke basis, with its exact delta.
-
-    The walk runs at the resonant coupling alpha*(n).  Built in H_x's
-    eigenbasis by the Suzuki recursion
-    S_q(tau) = S_(q-2)(u tau)^2 S_(q-2)((1-4u) tau) S_(q-2)(u tau)^2
-    in E = S - I form: 2^(q/2-1) order-2 blocks, each a diagonal plus a
-    rank-1 matrix, and three products per level, 21 for q = 8, then taken
-    to the Dicke basis as W E W.
-    """
-    w = symspace._mixer_basis(n)
-    return SymOperator(n, w @ _mixer_basis_step(n, q, t, r).delta @ w)
-
-
 def trotterized_state(n: int, q: int, t: float, r: int) -> SymVector:
     """S_q^r(t/r)|+>^n, applying the step's binary powers to |+> = e_0 in H_x's eigenbasis.
 
     The state is taken to the Dicke basis by one product with W.
     """
-    psi = symspace.apply_powers(_mixer_basis_step(n, q, t, r), [r], symspace._plus(n))[0]
+    psi = symspace.apply_powers(step_operator(n, q, t, r), [r], symspace._plus(n))[0]
     return SymVector(n, symspace._mixer_basis(n).dot(psi))
 
 
@@ -219,7 +209,7 @@ def overlap_trace(n: int, q: int, t: float, r: int, samples: int, spacing: str =
     points = [int(x) for x in np.rint(points)]
     points[-1] = r  # float spacing loses the endpoint once r > 2^53
     *below, _ = steps = sorted(set(points))
-    step, w = _mixer_basis_step(n, q, t, r), symspace._mixer_basis(n)
+    step, w = step_operator(n, q, t, r), symspace._mixer_basis(n)
     size = _TRACE_SLICES * (n + 1)
     amps = []
     for start in range(0, len(below), size):
@@ -276,12 +266,28 @@ def _angles_to_factors(angles: QaoaAngles) -> list[Factor]:
 
 
 def apply_qaoa_angles(n: int, angles: QaoaAngles) -> SymVector:
-    """Run the alternating-ansatz circuit from recovered angles on |+>^n, at alpha*(n)."""
-    return SymVector(n, angles_operator(n, angles).entries @ symspace.plus_state(n).amp)
+    """Run the alternating-ansatz circuit from recovered angles on |+>^n, at alpha*(n).
+
+    |+>^n is e_0 in W, so the circuit's state there is e_0 + E[:, 0], the
+    first column of ``angles_operator``; one product with W takes it to the
+    Dicke basis.
+    """
+    return SymVector(n, symspace._mixer_basis(n).dot(symspace._plus(n) + angles_operator(n, angles).delta[:, 0]))
 
 
 def angles_operator(n: int, angles: QaoaAngles) -> SymOperator:
-    """Full operator of the recovered-angle circuit at alpha*(n), leading half included."""
+    """Full operator of the recovered-angle circuit at alpha*(n), leading half included, in H_x's eigenbasis W.
+
+    It equals the powered ``step_operator`` only up to a floor of about
+    t * machine epsilon, like the spectral error's: the angles are doubles
+    near t/r, and from q = 4 on they are rounded sums (u tau, (1 - 4u) tau
+    and merged halves) that the step's phases do not share.  At t* the
+    phases alpha* tau lambda reach about 2e11 rad at n = 80, where one ulp
+    of every angle moves the operator by 6e-4.  Measured distances from the
+    powered step at t*: 1.3e-10 to 1.7e-10 at n = 40 and 1.8e-4 to 3.9e-4
+    at n = 80 (q = 4 and 8); q = 2's angles are exact halves of the step's,
+    4e-15 at n = 80.
+    """
     return factors_operator(n, _angles_to_factors(angles), ctqw.alpha_star(n))
 
 

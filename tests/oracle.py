@@ -5,7 +5,8 @@ cross-checking the symmetric-subspace evolution at small n, the dense
 Dicke-basis Hamiltonians H_x and H_0, the walk solved by a dense ``eigh``
 of them, a Trotter step built in the Dicke basis from a numerical
 eigensystem of H_x, a unitary's power through its eigenphases, the Dicke
-basis vectors, H_x's eigenbasis from the full Krawtchouk recurrence,
+basis vectors, H_x's eigenbasis from the full Krawtchouk recurrence and
+the library's operators taken from it to the Dicke basis,
 spectral norms from LAPACK's SVD, the commutator sum among them, and a
 Trotterized state by the plain step recursion and squaring loop.
 """
@@ -197,6 +198,12 @@ def krawtchouk_mixer_basis(n: int) -> np.ndarray:
     w = np.ldexp(np.sqrt((kraw * kraw.T << odd).astype(float)), -(n + odd) // 2)
     w[kraw < 0] *= -1.0
     return w
+
+
+def in_dicke_basis(op: SymOperator) -> SymOperator:
+    """An operator the library built in H_x's eigenbasis W, taken to the Dicke basis as W X W."""
+    w = krawtchouk_mixer_basis(op.n)
+    return SymOperator(op.n, w @ op.delta @ w)
 
 
 def reference_probe(n: int, q: int, t: float, r: int) -> np.ndarray:

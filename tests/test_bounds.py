@@ -280,7 +280,7 @@ def test_no_lapack_call_in_the_library(monkeypatch, tmp_path):
     for name in LAPACK_ENTRY_POINTS:
         for module in (np.linalg, impl):
             monkeypatch.setattr(module, name, refuse(name))
-    for cache in (ctqw.walk_eigensystem, symspace._mixer_basis, trotter._mixer_basis_step):
+    for cache in (ctqw.walk_eigensystem, symspace._mixer_basis, trotter.step_operator):
         cache.cache_clear()
     # a deep-power cell as perfbench runs it
     n, eps = 56, 0.1

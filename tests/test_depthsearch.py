@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from trotterwalk import bounds, cli, ctqw, depthsearch, symspace, trotter
+from trotterwalk import bounds, cli, ctqw, depthsearch, trotter
 
 
 def test_reference_overlap_delegates():
@@ -51,8 +51,8 @@ def test_numeric_depth_acceptance_postcondition():
         assert res.overlap >= threshold
 
         def overlap_at(r):
-            step = trotter.step_operator(n, q, ctqw.t_star(n), r)
-            return float(abs(symspace.apply_powers(step, [r], symspace.plus_state(n).amp)[0][0]) ** 2)
+            # the search's own read of the target overlap
+            return float(abs(trotter.trotterized_state(n, q, ctqw.t_star(n), r).amp[0]) ** 2)
 
         r_below = depthsearch._steps_at(n, res.d - 1)
         if r_below < res.r_final:

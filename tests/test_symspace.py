@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from oracle import MAX_FULL_SPACE_QUBITS, basis_state, eigenphase_power, full_space_oracle
+from oracle import MAX_FULL_SPACE_QUBITS, basis_state, eigenphase_power, full_space_oracle, in_dicke_basis
 from trotterwalk import bounds, ctqw, symspace, trotter
 from trotterwalk.symspace import COST, MIXER
 
@@ -74,13 +74,13 @@ def test_evolve_projector_eigenphase():
     # exp(-i pi H_0) flips the sign of |e_0>
     n = 3
     v = basis_state(n, 0)
-    out = trotter.factors_operator(n, [(COST, math.pi)], alpha=0.3).entries @ v.amp
+    out = in_dicke_basis(trotter.factors_operator(n, [(COST, math.pi)], alpha=0.3)).entries @ v.amp
     assert np.allclose(out, -v.amp, atol=1e-12)
 
 
 def test_evolve_single_qubit_closed_form():
     # exp(-i X t) (1,0) = (cos t, -i sin t)
-    out = trotter.factors_operator(1, [(MIXER, math.pi / 2)], alpha=1.0).entries @ basis_state(1, 0).amp
+    out = in_dicke_basis(trotter.factors_operator(1, [(MIXER, math.pi / 2)], alpha=1.0)).entries @ basis_state(1, 0).amp
     assert np.allclose(out, [0.0, -1.0j], atol=1e-12)
     # a factor names one of the two generators
     with pytest.raises(ValueError, match="unknown generator tag 'Z'"):
@@ -236,7 +236,7 @@ def test_full_space_oracle_matches_subspace():
         t = 0.5 * ctqw.t_star(n)
         factors = trotter.group_sequence(q, r, t)
         full = full_space_oracle(n, factors, alpha)
-        sub = trotter.factors_operator(n, factors, alpha).entries @ symspace.plus_state(n).amp
+        sub = in_dicke_basis(trotter.factors_operator(n, factors, alpha)).entries @ symspace.plus_state(n).amp
         assert np.max(np.abs(full.amp - sub)) < 1e-10
 
 
@@ -245,7 +245,7 @@ def test_full_space_oracle_single_factors():
     n, alpha = 5, 0.21
     for factors in ([(MIXER, 0.8)], [(COST, 1.1)], [(MIXER, 0.4), (COST, 0.9), (MIXER, -0.3)]):
         full = full_space_oracle(n, factors, alpha)
-        sub = trotter.factors_operator(n, factors, alpha).entries @ symspace.plus_state(n).amp
+        sub = in_dicke_basis(trotter.factors_operator(n, factors, alpha)).entries @ symspace.plus_state(n).amp
         assert np.max(np.abs(full.amp - sub)) < 1e-12
 
 

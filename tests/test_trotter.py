@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from oracle import dicke_step_delta, full_space_oracle, krawtchouk_mixer_basis
+from oracle import dicke_step_delta, full_space_oracle, in_dicke_basis, krawtchouk_mixer_basis
 from trotterwalk import bounds, ctqw, depthsearch, symspace, trotter
 from trotterwalk.symspace import COST, MIXER
 
@@ -82,14 +82,26 @@ def test_step_operator_unitary():
 
 def test_step_operator_is_read_only():
     # the cached step is handed to every caller of its (n, q, t, r)
-    step = trotter._mixer_basis_step(6, 4, ctqw.t_star(6), 8)
+    step = trotter.step_operator(6, 4, ctqw.t_star(6), 8)
     with pytest.raises(ValueError):
         step.delta[0, 0] = 0.0
     # entries is a new array on each access: writing into one leaves the step as it was
-    u = trotter.step_operator(6, 4, ctqw.t_star(6), 8)
-    delta, entries = u.delta.tobytes(), u.entries
+    delta, entries = step.delta.tobytes(), step.entries
     entries[0, 0] = 0.0
-    assert u.delta.tobytes() == delta and u.entries[0, 0] != 0.0
+    assert step.delta.tobytes() == delta and step.entries[0, 0] != 0.0
+
+
+def test_step_operator_is_the_step_every_caller_powers():
+    # one builder: the step handed out is the cached object that the state
+    # powers, and the squares the state's powering keeps stay on it
+    n, q = 20, 4
+    t, r = ctqw.t_star(n), bounds.required_steps(n, q, 0.01)
+    trotter.step_operator.cache_clear()
+    step = trotter.step_operator(n, q, t, r)
+    assert step is trotter.step_operator(n, q, t, r)
+    assert len(step._polar_squares) == 1
+    trotter.trotterized_state(n, q, t, r)
+    assert len(step._polar_squares) == 1 + (r.bit_length() - 1) // symspace._POLAR_EVERY
 
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8, 16])
@@ -101,7 +113,7 @@ def test_step_is_complex_symmetric(n, q):
     # bounds are about 5 times those
     bound = 4e-15 if q <= 8 else {10: 5e-15, 80: 5e-14}[n]
     for r in (round(2 ** (n / 2)), 1000):
-        e = trotter._mixer_basis_step(n, q, ctqw.t_star(n), r).delta
+        e = trotter.step_operator(n, q, ctqw.t_star(n), r).delta
         assert np.max(np.abs(e - e.T)) <= bound * np.max(np.abs(e)), r
 
 
@@ -116,7 +128,7 @@ def test_kept_squares_stay_complex_symmetric(n, q, r):
     # 9.5e-15, 1.5e-14 and 3.5e-14 relative in these cases, the last at
     # r = 7.2e17 with 15 kept squares; the bound is about 3 times the worst
     trotter.trotterized_state(n, q, ctqw.t_star(n), r)
-    kept = trotter._mixer_basis_step(n, q, ctqw.t_star(n), r)._polar_squares
+    kept = trotter.step_operator(n, q, ctqw.t_star(n), r)._polar_squares
     assert len(kept) == 1 + (r.bit_length() - 1) // symspace._POLAR_EVERY
     for k, e in enumerate(kept):
         assert np.max(np.abs(e - e.T)) <= 1e-13 * np.max(np.abs(e)), k
@@ -159,7 +171,7 @@ def test_step_matches_dicke_build(n, q):
     alpha = ctqw.alpha_star(n)
     for tau in (1e-6, 0.5, 4.0, 9.0):
         ref = dicke_step_delta(n, q, tau, alpha)
-        built = trotter.step_operator(n, q, tau, 1).delta
+        built = in_dicke_basis(trotter.step_operator(n, q, tau, 1)).delta
         assert np.max(np.abs(built - ref)) <= 1e-13 * np.max(np.abs(ref)), tau
 
 
@@ -172,7 +184,7 @@ def test_cell_shares_one_powered_step(monkeypatch):
     n, q = 80, 4
     t, r = ctqw.t_star(n), bounds.required_steps(n, q, 0.001)
     every = symspace._POLAR_EVERY
-    trotter._mixer_basis_step.cache_clear()
+    trotter.step_operator.cache_clear()
     polar, times_plus, calls, products = symspace._polar_step, symspace._times_plus, [], []
     monkeypatch.setattr(symspace, "_polar_step", lambda e: calls.append(None) or polar(e))
     monkeypatch.setattr(symspace, "_times_plus", lambda x, y: products.append(None) or times_plus(x, y))
@@ -192,8 +204,8 @@ def test_cell_shares_one_powered_step(monkeypatch):
     # against the 45 plain squares between the kept ones up to r's top bit
     assert lazy == 24 and r.bit_length() - 1 - len(calls) == 45
     # the same cell with a fresh, uncached copy of the step in every call
-    delta = trotter._mixer_basis_step(n, q, t, r).delta
-    monkeypatch.setattr(trotter, "_mixer_basis_step", lambda *args: symspace.SymOperator(n, delta.copy()))
+    delta = trotter.step_operator(n, q, t, r).delta
+    monkeypatch.setattr(trotter, "step_operator", lambda *args: symspace.SymOperator(n, delta.copy()))
     assert cell() == shared
 
 
@@ -212,7 +224,7 @@ def test_probe_matches_plain_reference_bit_for_bit(n, q, r):
     # give the same bits too
     t = ctqw.t_star(n)
     reference = oracle.reference_probe(n, q, t, r).tobytes()
-    trotter._mixer_basis_step.cache_clear()
+    trotter.step_operator.cache_clear()
     assert trotter.trotterized_state(n, q, t, r).amp.tobytes() == reference
     assert trotter.trotterized_state(n, q, t, r).amp.tobytes() == reference
 
@@ -289,7 +301,7 @@ def test_overlap_trace_matches_lone_powers(n, q, eps, spacing, samples, monkeypa
     # from a lone power's matrix-vector products in the last bits; 20,000
     # samples at n = 20 are 60 passes of 16 slices of n + 1
     t, r = ctqw.t_star(n), bounds.required_steps(n, q, eps)
-    step, w = trotter._mixer_basis_step(n, q, t, r), symspace._mixer_basis(n)
+    step, w = trotter.step_operator(n, q, t, r), symspace._mixer_basis(n)
     e0 = np.eye(1, n + 1, dtype=complex)[0]
     tracemalloc.start()
     try:
@@ -321,7 +333,7 @@ def test_overlap_trace_reads_each_amplitude_along_its_own_row():
     steps = [m for m, _ in trace]
     assert len(steps) == 200 and steps[-1] == r
     # one pass: 199 states below r, and r as the top power
-    columns = symspace.apply_powers(trotter._mixer_basis_step(n, q, t, r), steps, symspace._plus(n))
+    columns = symspace.apply_powers(trotter.step_operator(n, q, t, r), steps, symspace._plus(n))
     w0 = symspace._mixer_basis(n)[0]
     assert [overlap for _, overlap in trace[:-1]] == [float(abs((w0 * y).sum()) ** 2) for y in columns[:-1]]
 
@@ -395,6 +407,34 @@ def test_angle_circuit_reproduces_state():
         state = trotter.apply_qaoa_angles(n, ang)
         ref = trotter.trotterized_state(n, q, t, r)
         assert np.max(np.abs(state.amp - ref.amp)) < 1e-10
+
+
+# (n, q, r): the bound on the recovered circuit's distance from the powered
+# step, and on its state's from trotterized_state, at t*.  Measured at most
+# 1.31e-10, 1.64e-10, 1.83e-4, 3.93e-4 and 3.9e-15 apart, and 2.0e-15,
+# 1.3e-12, 7.0e-16, 1.17e-4 and 3.3e-16 in the state; the bounds are about
+# 3 times those
+@pytest.mark.parametrize(
+    "n, q, r, distance, state",
+    [(40, 4, 3, 4e-10, 6e-15), (40, 8, 1, 5e-10, 4e-12), (80, 4, 3, 6e-4, 2e-15), (80, 8, 1, 1.2e-3, 3.5e-4), (80, 2, 5, 1.2e-14, 1e-15)],
+)
+def test_angle_circuit_floor_at_large_n(n, q, r, distance, state):
+    # the recovered angles are doubles near t/r, rounded from q = 4 on as
+    # sums the step's phases do not share, so the circuit meets the step
+    # only to about t* * machine epsilon (t* = 1.7e12 at n = 80).  That is
+    # the angles' own resolution: one ulp on every angle moves the circuit
+    # by more than the measured distance.  q = 2's angles are exact halves
+    # of the step's, so it agrees to roundoff at n = 80 too
+    t = ctqw.t_star(n)
+    ang = trotter.qaoa_angles(q, t, r)
+    rec = trotter.angles_operator(n, ang)
+    eye = np.eye(n + 1, dtype=complex)
+    ref = symspace.SymOperator(n, symspace.apply_powers(trotter.step_operator(n, q, t, r), [r], eye)[0] - eye)
+    found = trotter.phase_aligned_distance(rec, ref)
+    assert found <= distance
+    assert np.max(np.abs(trotter.apply_qaoa_angles(n, ang).amp - trotter.trotterized_state(n, q, t, r).amp)) <= state
+    ulp = trotter.QaoaAngles(ang.p, np.nextafter(ang.gammas, np.inf), np.nextafter(ang.betas, np.inf))
+    assert found <= trotter.phase_aligned_distance(rec, trotter.angles_operator(n, ulp))
 
 
 def test_qaoa_angles_are_the_grouped_sequence():
