@@ -109,13 +109,24 @@ def format_value(value) -> str:
 
 
 def write_csv(path: str, experiment: str, header: list[str], rows) -> int:
+    """Write the CSV beside ``path`` and move it onto ``path`` after the last row.
+
+    Rows may be formed as they are written; if forming one raises, ``path``
+    keeps what it held and the partial file is removed.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    partial = f"{path}.{os.getpid()}.partial"
     count = 0
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# trotterwalk={__version__} experiment={experiment}\n")
-        fh.write(",".join(header) + "\n")
-        for count, row in enumerate(rows, 1):
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.write(f"# trotterwalk={__version__} experiment={experiment}\n")
+            fh.write(",".join(header) + "\n")
+            for count, row in enumerate(rows, 1):
+                fh.write(",".join(format_value(v) for v in row) + "\n")
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):  # only after a failure: a moved file is gone
+            os.remove(partial)
     return count
 
 

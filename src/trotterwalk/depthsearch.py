@@ -11,6 +11,12 @@ spectral budget used by the analytic bounds; sweep records pair the
 numeric depth with the closed-form analytic depth at the same nominal
 value.
 
+The search reads overlaps through one evaluator per (n, q), from
+``_walk_overlaps``: the one place where a step count becomes a target
+overlap.  The evaluator remembers each step count it evaluated for as long
+as it lives: one ``numeric_optimal_depth`` call, or one ``sweep_cells``
+call, whose budgets share it; nothing is remembered across calls.
+
 Bisection needs a rejected step count to stay rejected.  At the default
 D_CAP the doubling leaves a bracket of power-of-two width, so while it
 spans more than one multiplier its midpoints are whole multipliers d, where
@@ -24,7 +30,7 @@ not necessarily the first.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import asin
@@ -86,7 +92,7 @@ def numeric_optimal_depth(n: int, q: int, epsilon_overlap: float) -> DepthSearch
     whole multipliers relies on the same assumption, but only at
     tau = t*/r <= pi/2, below the tau of about 2 to 9 where q = 8 oscillates.
     """
-    search = _depth_search(n, q, epsilon_overlap, {})
+    search = _depth_search(n, q, epsilon_overlap, _walk_overlaps(n, q))
     try:
         while True:
             next(search)
@@ -94,8 +100,26 @@ def numeric_optimal_depth(n: int, q: int, epsilon_overlap: float) -> DepthSearch
         return done.value
 
 
+def _walk_overlaps(n: int, q: int) -> Callable[[int], float]:
+    """The search's evaluator at (n, q): r -> |<e_0|S_q(t*/r)^r|+>|^2.
+
+    The one place where a step count becomes a target overlap.  It
+    remembers what it evaluated for as long as it lives: one
+    ``numeric_optimal_depth`` call, or one ``sweep_cells`` call, never the
+    process.  It looks ``trotter.trotterized_state`` up at each evaluation,
+    so a patched or traced one sees every step count evaluated.
+    """
+    ts = ctqw.t_star(n)
+
+    @lru_cache(maxsize=None)
+    def overlap(r: int) -> float:
+        return float(abs(trotter.trotterized_state(n, q, ts, r).amp[0]) ** 2)
+
+    return overlap
+
+
 def _depth_search(
-    n: int, q: int, epsilon_overlap: float, overlaps: dict[int, float]
+    n: int, q: int, epsilon_overlap: float, overlap: Callable[[int], float]
 ) -> Generator[int, None, DepthSearchResult]:
     """The search of ``numeric_optimal_depth``, one rejected step count at a time.
 
@@ -104,23 +128,17 @@ def _depth_search(
     scan, it yields
     stages(q) * (r + 1): no depth it can still return is smaller.  It
     returns the DepthSearchResult or raises DepthSearchError.
-    ``overlaps`` maps step counts to target overlaps at this (n, q); the
-    search reads it and adds what it evaluates, so searches at other
-    budgets that share it evaluate each step count once.
+    ``overlap`` maps a step count to its target overlap at this (n, q),
+    as ``_walk_overlaps`` does; the search calls it once per probe.
     """
     stages = trotter.stage_count(q)
     if not 0.0 < epsilon_overlap < 1.0:
         raise ValueError(f"overlap budget must lie in (0, 1), got {epsilon_overlap}")
     threshold = reference_overlap(n) - epsilon_overlap
-    ts = ctqw.t_star(n)
     used: dict[int, float] = {}  # the step counts this search read, and their overlaps
 
     def overlap_at(r: int) -> float:
-        hit = overlaps.get(r)
-        if hit is None:
-            state = trotter.trotterized_state(n, q, ts, r)
-            overlaps[r] = hit = float(abs(state.amp[0]) ** 2)
-        used[r] = hit
+        used[r] = hit = overlap(r)
         return hit
 
     # double, then bisect (rejected, d] on the grid of the module docstring.
@@ -153,7 +171,7 @@ def _depth_search(
         p_numerical=r_final * stages,
         r_final=r_final,
         d=d,
-        overlap=overlap_at(r_final),
+        overlap=used[r_final],
         reference=reference_overlap(n),
         evaluations=len(used),
     )
@@ -235,21 +253,19 @@ def sweep_cell(n: int, epsilon: float, orders=SWEEP_ORDERS) -> tuple[SweepRecord
 def sweep_cells(n: int, epsilons, orders=SWEEP_ORDERS) -> list[tuple[SweepRecord | None, list[CellFailure]]]:
     """``sweep_cell`` at one size for each budget in ``epsilons``, in that order.
 
-    The searches of one order share their overlaps: a step count r gives
+    The searches of one order share one evaluator: a step count r gives
     the same overlap at every budget, and only the threshold it is compared
     with changes, so each (q, r) is evaluated once per call.
     """
     if not orders:
         raise ValueError("orders must be non-empty")
-    overlaps: list[dict[int, float]] = [{} for _ in orders]
-    return [_best_first(n, eps, orders, overlaps) for eps in epsilons]
+    evaluators = [_walk_overlaps(n, q) for q in orders]
+    return [_best_first(n, eps, orders, evaluators) for eps in epsilons]
 
 
-def _best_first(
-    n: int, epsilon: float, orders, overlaps: list[dict[int, float]]
-) -> tuple[SweepRecord | None, list[CellFailure]]:
-    """The best-first search of ``sweep_cell``; ``overlaps[rank]`` holds the overlaps of ``orders[rank]``."""
-    searches = [_depth_search(n, q, epsilon, overlaps[rank]) for rank, q in enumerate(orders)]
+def _best_first(n: int, epsilon: float, orders, evaluators) -> tuple[SweepRecord | None, list[CellFailure]]:
+    """The best-first search of ``sweep_cell``; ``evaluators[rank]`` is the evaluator of ``orders[rank]``."""
+    searches = [_depth_search(n, q, epsilon, evaluators[rank]) for rank, q in enumerate(orders)]
     heap = [(trotter.stage_count(q), rank) for rank, q in enumerate(orders)]
     heapq.heapify(heap)
     failures: dict[int, CellFailure] = {}  # by rank in orders

@@ -227,6 +227,31 @@ def test_sidecar_duration_covers_the_csv_write(tmp_path, monkeypatch):
     assert slept and read_sidecar(out)["duration_seconds"] >= 0.2
 
 
+def test_failed_run_keeps_the_previous_csv(tmp_path, monkeypatch):
+    # overlap-trace forms its rows as the CSV is written; a row that raises
+    # must leave the last run's CSV, which its sidecar describes, as it was
+    out = tmp_path / "trace.csv"
+    args = ["overlap-trace", "--n", "10", "--epsilon", "0.01", "--samples", "41", "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_OK
+    csv_bytes, sidecar_bytes = out.read_bytes(), (tmp_path / "trace.json").read_bytes()
+    assert read_sidecar(out)["rows_written"] == 41
+    closed_form, formed = depthsearch.grover_closed_form, []
+
+    def fails_after_five_rows(n, k):
+        if len(formed) == 5:
+            raise RuntimeError("row 6 cannot be formed")
+        formed.append(k)
+        return closed_form(n, k)
+
+    monkeypatch.setattr(depthsearch, "grover_closed_form", fails_after_five_rows)
+    with pytest.raises(RuntimeError, match="row 6 cannot be formed"):
+        cli.main(args)
+    assert len(formed) == 5
+    assert out.read_bytes() == csv_bytes
+    assert (tmp_path / "trace.json").read_bytes() == sidecar_bytes
+    assert sorted(os.listdir(tmp_path)) == ["trace.csv", "trace.json"]
+
+
 def test_json_out_keeps_a_separate_sidecar(tmp_path):
     out = tmp_path / "x.json"
     assert cli.main(["grover-curve", "--n", "3", "--k-max", "2", "--out", str(out)]) == cli.EXIT_OK

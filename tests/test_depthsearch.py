@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import re
@@ -261,6 +262,138 @@ def test_search_probes_in_a_fixed_order(n, q, eps, d_cap, probes, r_final, monke
     res = depthsearch.numeric_optimal_depth(n, q, eps)
     assert calls == probes
     assert (res.r_final, res.evaluations) == (r_final, len(probes))
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail any test that simulates the walk: its search reads a synthetic evaluator only."""
+
+    def refuse(*args):
+        raise AssertionError("the search simulated the walk")
+
+    monkeypatch.setattr(trotter, "trotterized_state", refuse)
+
+
+class Synthetic:
+    """An evaluator that simulates nothing: overlap 1 at the step counts ``accepts`` takes, 0 elsewhere.
+
+    It records the step counts it is asked for, in order.
+    """
+
+    def __init__(self, accepts):
+        self.accepts = accepts
+        self.probes = []
+
+    def __call__(self, r):
+        self.probes.append(r)
+        return 1.0 if self.accepts(r) else 0.0
+
+
+def run_search(n, q, eps, overlap):
+    """Drive ``_depth_search`` to its end; returns its result and the bounds it yielded."""
+    search = depthsearch._depth_search(n, q, eps, overlap)
+    yielded = []
+    try:
+        while True:
+            yielded.append(next(search))
+    except StopIteration as done:
+        return done.value, yielded
+
+
+# at n = 40 a multiplier of 2^(n/2) holds 2^14 grid points, 64 step counts apart
+MULTIPLIER = 2**20
+
+
+@pytest.mark.parametrize(
+    "crossing",
+    [1.0, 1 + 2**-14, 5 + 3 * 2**-14, 4096.0, 3000 + 12345 * 2**-14],
+    ids=["one-multiplier", "one-grid-point-above", "above-5", "4096", "above-3000"],
+)
+def test_step_function_search_meets_the_readme_probe_count(crossing, no_simulation):
+    # a step-function overlap accepts from one grid point on: the search
+    # returns that point after k + 1 doubling probes and k + 13 halvings,
+    # k = ceil(log2 d) for the multiplier d (one probe and 14 halvings at
+    # d = 1), which is within one of the README's 2 log2 d + 15
+    n, q = 40, 4
+    r_cross = round(crossing * MULTIPLIER)
+    overlap = Synthetic(lambda r: r >= r_cross)
+    res, yielded = run_search(n, q, 0.01, overlap)
+    assert res.r_final == r_cross and res.d == r_cross // 64
+    assert res.p_numerical == trotter.stage_count(q) * r_cross and res.overlap == 1.0
+    k = math.ceil(math.log2(crossing))
+    assert res.evaluations == len(overlap.probes) == len(set(overlap.probes)) == (2 * k + 14 if k else 15)
+    assert abs(res.evaluations - (2 * math.log2(crossing) + 15)) <= 1
+    assert yielded == [trotter.stage_count(q) * (r + 1) for r in overlap.probes if r < r_cross]
+
+
+def test_exhausted_synthetic_scan_probes_by_doubling(no_simulation):
+    # an overlap below every threshold: the scan probes d = 1, 2, 4, ...,
+    # 4096 and 4097 multipliers, yields after each but the capped one, and
+    # names the best overlap it read
+    n = 40
+    overlap = Synthetic(lambda r: False)
+    yielded = []
+    with pytest.raises(depthsearch.DepthSearchError) as err:
+        for bound in depthsearch._depth_search(n, 2, 0.01, overlap):
+            yielded.append(bound)
+    threshold = depthsearch.reference_overlap(n) - 0.01
+    assert str(err.value) == (
+        f"no accepted step count for n=40, q=2, eps=0.01: scanned 4097 multipliers at level 0, "
+        f"best overlap 0.000000 < threshold {threshold:.6f}"
+    )
+    doubling = [*(2**k for k in range(13)), 4097]
+    assert overlap.probes == [d * MULTIPLIER for d in doubling]
+    assert yielded == [r + 1 for r in overlap.probes[:-1]]
+
+
+@pytest.mark.parametrize(
+    "windows, landing",
+    [
+        # the bisection's first midpoint, 3 multipliers, is rejected, so it
+        # never sees the window below it and lands on the crossing at 3.5
+        ([(2.25, 2.75), (3.5, math.inf)], 3.5),
+        # the midpoint 3 is accepted and the next one, 2.5, too; the window
+        # at 2.125 lies below 2.25, which is rejected
+        ([(2.125, 2.1875), (2.5, 3.25), (3.5, math.inf)], 2.5),
+    ],
+    ids=["window-missed", "window-below-missed"],
+)
+def test_non_monotone_search_returns_the_crossing_it_lands_on(windows, landing, no_simulation):
+    # where a rejected step count need not stay rejected, the search returns
+    # a crossing of the threshold, not the smallest accepted step count
+    n = 40
+    bounds_r = [(lo * MULTIPLIER, hi * MULTIPLIER) for lo, hi in windows]
+    overlap = Synthetic(lambda r: any(lo <= r < hi for lo, hi in bounds_r))
+    res, _ = run_search(n, 8, 0.01, overlap)
+    assert res.r_final == landing * MULTIPLIER
+    assert not overlap.accepts(res.r_final - 64)
+    smallest = windows[0][0] * MULTIPLIER
+    assert overlap.accepts(smallest) and smallest < res.r_final
+
+
+def test_each_search_evaluates_its_own_probes(monkeypatch):
+    # the evaluator's memory lasts one numeric_optimal_depth call, or one
+    # sweep_cells call, never the process: a repeated call evaluates its
+    # whole probe list again
+    calls = []
+    original = trotter.trotterized_state
+
+    def counting(n, q, t, r):
+        calls.append((q, r))
+        return original(n, q, t, r)
+
+    monkeypatch.setattr(trotter, "trotterized_state", counting)
+    first = depthsearch.numeric_optimal_depth(24, 4, 0.01)
+    probes = calls.copy()
+    calls.clear()
+    assert depthsearch.numeric_optimal_depth(24, 4, 0.01) == first
+    assert calls == probes and len(probes) == first.evaluations
+    calls.clear()
+    cells = depthsearch.sweep_cells(24, [0.1, 0.01])
+    probes = calls.copy()
+    calls.clear()
+    assert depthsearch.sweep_cells(24, [0.1, 0.01]) == cells
+    assert calls == probes and len(probes) == len(set(probes))
 
 
 def linear_scan(n, q, epsilon):
