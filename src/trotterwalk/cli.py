@@ -9,8 +9,15 @@ a given configuration; timestamps live only in the sidecar.
 Exit codes: 0 success, 2 usage/validation error, 3 partial failure (some
 cells failed; completed rows are still written and the sidecar lists the
 failures as machine-readable records).  An argument ``@run.args`` stands
-for the whitespace-separated arguments in ``run.args``; a flag given twice
-keeps its later value.
+for the whitespace-separated arguments in ``run.args``.
+
+Each ``ExperimentConfig`` field is one argparse argument, and an unset one
+keeps the field's default.  ``--n`` and ``--n-range`` are two spellings of
+the sizes, ``--epsilon`` and ``--epsilon-list`` two of the budgets; a
+setting given twice, in either spelling, keeps its later value.  argparse
+refuses an unknown subcommand, a value its flag's type cannot read, and an
+``--order`` or ``--spacing`` outside its choices; ``validate`` checks the
+rest and reports every violation at once.
 """
 
 from __future__ import annotations
@@ -144,12 +151,14 @@ def write_sidecar(out: str, payload: dict) -> None:
 
 
 def validate(config: ExperimentConfig) -> list[str]:
-    """Normalize the config in place and return every violation found."""
+    """Normalize the config in place and return every violation found.
+
+    A bad subcommand, ``--order`` or ``--spacing`` never gets here from the
+    command line: argparse refuses it.  In a config built in Python the
+    library refuses it when the run reaches it.
+    """
     errors: list[str] = []
-    spec = EXPERIMENTS.get(config.experiment)
-    if spec is None:
-        errors.append(f"unknown experiment {config.experiment!r}")
-    settings = spec.settings if spec else ()
+    settings = EXPERIMENTS[config.experiment].settings
     if not config.ns:
         errors.append("no system size given (use --n or --n-range)")
     outside = [n for n in config.ns if not N_MIN <= n <= N_MAX]
@@ -160,13 +169,6 @@ def validate(config: ExperimentConfig) -> list[str]:
     for eps in config.epsilons:
         if not 0.0 < eps < 1.0:
             errors.append(f"epsilon={eps} outside (0, 1)")
-    if config.order != "auto":
-        try:
-            q = int(config.order)
-            if not 2 <= q <= Q_MAX or q % 2:
-                errors.append(f"--order must be an even integer in [2, {Q_MAX}] or 'auto', got {config.order}")
-        except ValueError:
-            errors.append(f"--order must be an even integer in [2, {Q_MAX}] or 'auto', got {config.order!r}")
     if not config.orders:
         errors.append("no admissible order given (--orders is empty)")
     if len(set(config.orders)) != len(config.orders):
@@ -178,8 +180,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         errors.append(f"--samples must be >= 2, got {config.samples}")
     if config.samples > MAX_ROWS:
         errors.append(f"overlap-trace would write {config.samples} rows, above the cap of {MAX_ROWS}; set a smaller --samples")
-    if config.spacing not in ("linear", "geometric"):
-        errors.append(f"--spacing must be linear or geometric, got {config.spacing!r}")
     if "k_max" in settings and config.k_max is None and len(config.ns) == 1 and N_MIN <= config.ns[0] <= N_MAX:
         config.k_max = ceil(pi / (4.0 * asin(2.0 ** (-0.5 * config.ns[0]))))
     if config.k_max is not None and config.k_max < 1:
@@ -344,7 +344,8 @@ def run_bound_check(config: ExperimentConfig):
 @dataclass(frozen=True)
 class Experiment:
     """A subcommand: its runner, help text, and the ExperimentConfig fields it
-    reads besides ``ns`` and ``out`` (each set by the flags in ``FLAGS``)."""
+    reads besides ``ns`` and ``out`` (each set by the one argument ``FLAGS``
+    gives it)."""
 
     runner: Callable[[ExperimentConfig], tuple]
     help: str
@@ -366,20 +367,19 @@ EXPERIMENTS = {
     "bound-check": Experiment(run_bound_check, "measured Trotter error against the analytic bound", ("order",)),
 }
 
-# flag -> (the ExperimentConfig field it sets, its argparse options); the
-# flags that set ns and out belong to every subcommand
+# ExperimentConfig field -> (the flags that spell it, their argparse options):
+# one argument per field, so a flag given twice, in either spelling, keeps its
+# later value; the flags that set ns and out belong to every subcommand
 FLAGS = {
-    "--n": ("ns", {"type": int, "help": "single system size"}),
-    "--n-range": ("ns", {"type": parse_int_range, "help": "range 'lo..hi' or 'lo..hi:step'"}),
-    "--epsilon": ("epsilons", {"type": float, "help": "single error budget"}),
-    "--epsilon-list": ("epsilons", {"type": parse_float_list, "help": "comma-separated error budgets"}),
-    "--order": ("order", {"help": "even formula order, or 'auto' (default)"}),
-    "--orders": ("orders", {"type": parse_int_list, "help": "admissible orders, e.g. '2,4,6,8'"}),
-    "--samples": ("samples", {"type": int, "help": f"trace prefix lengths to sample, at most {MAX_ROWS}; lengths that round to one step count give one row"}),
-    "--spacing": ("spacing", {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
-    "--k-max": ("k_max", {"type": int, "help": f"Grover iteration count (at most {MAX_ROWS})"}),
-    "--workers": ("workers", {"type": int, "help": "processes that take cells from one queue, the calling one and the children it forks, on Linux only (default or 0: one per usable CPU, which also caps it)"}),
-    "--out": ("out", {"help": f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)"}),
+    "ns": (("--n", "--n-range"), {"type": parse_int_range, "metavar": "N", "help": "system size, or range 'lo..hi' or 'lo..hi:step'"}),
+    "epsilons": (("--epsilon", "--epsilon-list"), {"type": parse_float_list, "metavar": "EPS", "help": "error budget, or comma-separated budgets"}),
+    "order": (("--order",), {"choices": ("auto", *(str(q) for q in range(2, Q_MAX + 1, 2))), "help": "even formula order, or 'auto' (default)"}),
+    "orders": (("--orders",), {"type": parse_int_list, "help": "admissible orders, e.g. '2,4,6,8'"}),
+    "samples": (("--samples",), {"type": int, "help": f"trace prefix lengths to sample, at most {MAX_ROWS}; lengths that round to one step count give one row"}),
+    "spacing": (("--spacing",), {"choices": ("linear", "geometric"), "help": "trace prefix spacing"}),
+    "k_max": (("--k-max",), {"type": int, "help": f"Grover iteration count (at most {MAX_ROWS})"}),
+    "workers": (("--workers",), {"type": int, "help": "processes that take cells from one queue, the calling one and the children it forks, on Linux only (default or 0: one per usable CPU, which also caps it)"}),
+    "out": (("--out",), {"help": f"output CSV path (default: ${ENV_OUTDIR}/<experiment>.csv)"}),
 }
 
 
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trotterwalk",
         description="Experiments on quantum-walk search trotterized into QAOA sequences.",
-        epilog="An argument @FILE stands for the whitespace-separated arguments in FILE; a flag given twice keeps its later value.",
+        epilog="An argument @FILE stands for the whitespace-separated arguments in FILE; a setting given twice, in either spelling, keeps its later value.",
         fromfile_prefix_chars="@",
     )
     # a file line reads as the command line does ('--n 46'); a blank line adds nothing
@@ -522,29 +522,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name, spec in EXPERIMENTS.items():
         # no abbreviations: with --order absent, '--order' would mean '--orders'
         p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
-        for flag, (setting, kwargs) in FLAGS.items():
+        for setting, (flags, kwargs) in FLAGS.items():
             if setting in ("ns", "out", *spec.settings):
-                p.add_argument(flag, default=None, **kwargs)
+                # SUPPRESS: a flag not given sets no attribute, so the field keeps its default
+                p.add_argument(*flags, dest=setting, default=argparse.SUPPRESS, **kwargs)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig(experiment=args.experiment)
-    for flag, (setting, _) in FLAGS.items():
-        # None: not given, or not a flag of this subcommand
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is None:
-            continue
-        if setting in ("ns", "epsilons"):
-            getattr(config, setting).extend(value if isinstance(value, list) else [value])
-        else:
-            setattr(config, setting, value)
-    return config
 
 
 def main(argv=None) -> int:
     args, unread = build_parser().parse_known_args(argv)
-    config = _config_from_args(args)
+    config = ExperimentConfig(**vars(args))
     errors = [f"{args.experiment} does not take: {' '.join(unread)}"] if unread else []
     errors += validate(config)
     if errors:
