@@ -154,11 +154,16 @@ def validate(config: ExperimentConfig) -> list[str]:
     """Normalize the config in place and return every violation found.
 
     A bad subcommand, ``--order`` or ``--spacing`` never gets here from the
-    command line: argparse refuses it.  In a config built in Python the
-    library refuses it when the run reaches it.
+    command line: argparse refuses it.  In a config built in Python, an order
+    outside ``--order``'s choices is refused here, from the same tuple; an
+    unknown subcommand raises KeyError here, and the library refuses a bad
+    spacing when the run reaches it.
     """
     errors: list[str] = []
     settings = EXPERIMENTS[config.experiment].settings
+    choices = FLAGS["order"][1]["choices"]
+    if config.order not in choices:
+        errors.append(f"--order must be one of {', '.join(choices)}, got {config.order!r}")
     if not config.ns:
         errors.append("no system size given (use --n or --n-range)")
     outside = [n for n in config.ns if not N_MIN <= n <= N_MAX]
@@ -426,7 +431,8 @@ def _map_cells(fn, cells: list, workers: int) -> list:
     """``[fn(cell) for cell in cells]`` computed by the calling process and
     ``min(workers, len(cells)) - 1`` children forked with ``os.fork``.
 
-    Every process claims cells one at a time from a shared queue, a pipe
+    One claim loop serves any worker count: every process, the calling one
+    alone included, claims cells one at a time from a shared queue, a pipe
     holding the index of the next unclaimed cell, until none is left.  Each
     child pickles its ``(index, ok, result or exception)`` records into a pipe
     of its own and exits; the caller reads every pipe to its end and waits for
@@ -435,15 +441,12 @@ def _map_cells(fn, cells: list, workers: int) -> list:
     failed cell propagates; a cell whose child exited without returning it
     raises a RuntimeError that names it.
     """
-    children = min(workers, len(cells)) - 1
-    if children < 1:
-        return [fn(cell) for cell in cells]
     token = os.pipe()
     os.write(token[1], (0).to_bytes(8, "little"))
     pipes = {}  # child pid -> the read end of its record pipe
     drained = False
     try:
-        for _ in range(children):
+        for _ in range(min(workers, len(cells)) - 1):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:

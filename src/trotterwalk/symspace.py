@@ -87,33 +87,31 @@ class SymOperator:
     def _squares(self, bits: int):
         """Yield (k, E_k) with E_k = u^(2^k) - I for each set bit k of ``bits``, squaring as (I + E)^2 - I = 2E + E^2.
 
-        At every ``_POLAR_EVERY``-th k the square is also projected by one
-        ``_polar_step``, whatever u's own defect; these squares are kept,
-        read-only, so a later call starts each run of plain squares from a
-        kept one and squares only up to the run's highest set bit.  A run
-        that must reach the next kept square, not yet made, is squared in
-        full, as on a first pass.  The squares between the kept ones are
-        written over a working copy.
+        One rule for every k below ``bits``' length: at each ``_POLAR_EVERY``-th
+        k the square is the kept one, made by the first call that reaches it
+        from one square and one ``_polar_step``, whatever u's own defect, and
+        read-only; at any other k it is the previous square squared, the
+        first of a run squared on a copy of the kept one, which the rest of
+        the run writes over.  The rest of a run is skipped once no set bit is
+        left in it and the next kept square exists, so a later call squares
+        each run only up to its highest set bit.
         """
         kept = self._polar_squares
-        for level, base in enumerate(range(0, bits.bit_length(), _POLAR_EVERY)):
-            run = bits >> base
-            if level == len(kept):
-                e = _polar_step(_times_plus(e, e))
-                e.setflags(write=False)  # a quarter of the cost of flags.writeable = False
-                kept.append(e)
-            e = kept[level]
-            if run & 1:
-                yield base, e
-            # on to the next kept square if it is still to be made, else to the run's highest set bit
-            full = level + 1 == len(kept) and run >> _POLAR_EVERY
-            stop = _POLAR_EVERY if full else (run & (1 << _POLAR_EVERY) - 1).bit_length()
-            if stop > 1:
-                e = e.copy()
-                for offset in range(1, stop):
-                    e = _times_plus(e, e)
-                    if run >> offset & 1:
-                        yield base + offset, e
+        for k in range(bits.bit_length()):
+            level, offset = divmod(k, _POLAR_EVERY)
+            if not offset:
+                if level == len(kept):
+                    e = _polar_step(_times_plus(e, e))
+                    e.setflags(write=False)  # a quarter of the cost of flags.writeable = False
+                    kept.append(e)
+                e = kept[level]
+            # squared unless the run has no set bit left and the next kept square exists
+            elif level + 1 == len(kept) or bits >> k & (1 << _POLAR_EVERY - offset) - 1:
+                if offset == 1:
+                    e = e.copy()
+                e = _times_plus(e, e)
+            if bits >> k & 1:
+                yield k, e
 
 
 def p_weights(n: int) -> np.ndarray:

@@ -400,6 +400,16 @@ def test_config_file_values_take_their_flag_types(tmp_path, capsys):
     assert read_sidecar(out)["config"]["order"] == "4"
 
 
+@pytest.mark.parametrize("order", ["18", "four", "3", 4])
+def test_validate_refuses_an_order_outside_the_choices(order, tmp_path):
+    # a config built in Python meets the choices argparse reads for --order:
+    # at "18" bound-check's bound would overflow at n = 80, and "four" would
+    # reach int() bare
+    config = cli.ExperimentConfig(experiment="bound-check", ns=[80], order=order, out=str(tmp_path / "b.csv"))
+    choices = ", ".join(cli.FLAGS["order"][1]["choices"])
+    assert cli.validate(config) == [f"--order must be one of {choices}, got {order!r}"]
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     code = cli.main(["overlap-trace", "--n", "99", "--epsilon", "2.0", "--out", str(tmp_path / "x.csv")])
     assert code == cli.EXIT_USAGE

@@ -209,6 +209,38 @@ def test_sparse_projection_keeps_powers_unitary(n, eps):
     assert abs(trotter.trotterized_state(n, q, t, r).norm() - 1.0) <= 1e-13
 
 
+@pytest.mark.parametrize("n, q", [(16, 4), (44, 8), (80, 2)])
+def test_later_squarings_reuse_the_kept_squares(n, q, monkeypatch):
+    # successive calls on one step yield the bytes that the same call on a
+    # fresh copy yields, whether a call reaches a kept square not yet made or
+    # stops inside a run whose next kept square exists; over the whole
+    # sequence each kept square is projected once
+    every = symspace._POLAR_EVERY
+    delta = trotter.step_operator(n, q, ctqw.t_star(n), bounds.required_steps(n, q, 0.01)).delta.copy()
+    rng = np.random.default_rng(n)
+    widths = rng.integers(3, 71, size=12)
+    patterns = [
+        0b101,  # squares within run 0 and makes no kept square
+        1 << 21 | 0b11,  # makes kept squares 1 to 5
+        1 << 13 | 1 << 6,  # skips the rest of runs 0 to 2
+        1 << 45 | 1 << 30,  # makes kept squares 6 to 11
+        1 << 30 | 1 << 5,  # skips the rest of runs 0 to 6
+        *(int("1" + "".join(map(str, rng.integers(0, 2, size=w - 1))), 2) for w in widths),
+        1 << 69 | 1 << 2,  # the widest: makes any kept square still missing
+    ]
+    polar, calls = symspace._polar_step, []
+    monkeypatch.setattr(symspace, "_polar_step", lambda e: calls.append(None) or polar(e))
+    step, made = symspace.SymOperator(n, delta.copy()), 0
+    for bits in patterns:
+        fresh = symspace.SymOperator(n, delta.copy())
+        expected = [(k, e.tobytes()) for k, e in fresh._squares(bits)]
+        before = len(calls)
+        assert [(k, e.tobytes()) for k, e in step._squares(bits)] == expected, bits
+        made += len(calls) - before
+    assert len(step._polar_squares) == 1 + 69 // every
+    assert made == len(step._polar_squares) - 1
+
+
 def test_power_of_identity_additivity_on_unitary():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
